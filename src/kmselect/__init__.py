@@ -8,9 +8,7 @@ A verification layer checks every guarantee on concrete instances.
 
 from .errors import (
     ArgumentError,
-    BarrierViolationError,
     ContractViolationError,
-    DegeneratePotentialError,
     NumericalSearchError,
     RankDeficiencyError,
     RankFailureError,
@@ -37,12 +35,7 @@ from .sparsify import (
     deterministic_sampling_two,
     identity_plan,
     leverage_scores,
-    lower_gain,
-    lower_potential,
     randomized_sampling,
-    upper_gain_frob,
-    upper_gain_spec,
-    upper_potential,
 )
 from .kmeans import (
     Clustering,

@@ -17,14 +17,6 @@ class RankDeficiencyError(SelectionError):
     """A requested rank exceeds the numerical rank of the input."""
 
 
-class BarrierViolationError(SelectionError):
-    """A potential was evaluated on the wrong side of its barrier."""
-
-
-class DegeneratePotentialError(SelectionError):
-    """A potential difference vanished, leaving a gain undefined."""
-
-
 class NumericalSearchError(SelectionError):
     """The greedy column search failed at some iteration.
 

@@ -94,14 +94,16 @@ def numerical_rank(a) -> int:
     return int(np.count_nonzero(singular_values(a)))
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
+def _fix_signs(v: np.ndarray, u: np.ndarray | None = None) -> None:
     # Reproducible orientation: first nonzero entry of each right singular
-    # vector is made non-negative; the paired left vector flips with it.
+    # vector is made non-negative; the paired left vector, if any, flips
+    # with it.
     for j in range(v.shape[1]):
         nz = np.flatnonzero(v[:, j])
         if nz.size and v[nz[0], j] < 0:
             v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
+            if u is not None:
+                u[:, j] = -u[:, j]
 
 
 def svd_top_k(a, k: int) -> SvdTopK:
@@ -131,7 +133,7 @@ def svd_top_k(a, k: int) -> SvdTopK:
         u = np.ascontiguousarray(vecs[:, :k])
         s = sig[:k].copy()
         v = (a.T @ u) / s
-    _fix_signs(u, v)
+    _fix_signs(v, u)
     return SvdTopK(u=u, s=s, v=v)
 
 
@@ -226,9 +228,5 @@ def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
     _, vecs = np.linalg.eigh(b.T @ b)
     proj = vecs[:, ::-1][:, :k]
     z = w @ proj
-    # orient like svd_top_k for tidy output; the residual is unaffected
-    for j in range(k):
-        nz = np.flatnonzero(z[:, j])
-        if nz.size and z[nz[0], j] < 0:
-            z[:, j] = -z[:, j]
+    _fix_signs(z)  # orient like svd_top_k; the residual is unaffected
     return z

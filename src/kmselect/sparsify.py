@@ -6,12 +6,16 @@ Three ways to pick and rescale ``r`` columns of an n-column matrix:
   lower barrier on the spectrum of one vector set while a static Frobenius
   budget caps a second set.
 * :func:`deterministic_sampling_two` — greedy dual-set selection with a
-  moving upper spectral barrier on the second set.
+  moving upper spectral barrier on the second set.  An exact identity
+  second set is recognised from its entries, with no n x n product, and
+  runs on a diagonal accumulator.
 * :func:`randomized_sampling` — i.i.d. leverage-score sampling.
 
-All three return a :class:`SamplingPlan`, the compact form of a sampling
-matrix / rescaling matrix pair: applying the plan to ``a`` realizes
-``a @ omega @ s``.
+Both greedy samplers score candidates with one closed-form barrier gain,
+``_gains`` (Batson-Spielman-Srivastava; Boutsidis-Drineas-Magdon-Ismail,
+Lemmas 10-11).  All three return a :class:`SamplingPlan`, the compact form
+of a sampling matrix / rescaling matrix pair: applying the plan to ``a``
+realizes ``a @ omega @ s``.
 """
 
 from __future__ import annotations
@@ -21,13 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    BarrierViolationError,
-    DegeneratePotentialError,
-    NumericalSearchError,
-)
-from .linalg import as_matrix, sym_eig
+from .errors import ArgumentError, NumericalSearchError
+from .linalg import as_matrix
 
 ORTHO_TOL = 1e-8
 # Barrier crossings smaller than this (relative to the barrier magnitude)
@@ -93,98 +92,6 @@ def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
     return a[:, idx] * np.asarray(plan.weights, dtype=float)
 
 
-# ---------------------------------------------------------------------------
-# barrier potentials and greedy gains
-# ---------------------------------------------------------------------------
-
-
-def lower_potential(shift_point: float, m) -> float:
-    """Sum of ``1 / (lambda_i - shift_point)`` over the spectrum of *m*.
-
-    Requires ``shift_point`` strictly below the smallest eigenvalue.
-    """
-    vals = sym_eig(m).values
-    if shift_point >= vals[0]:
-        raise BarrierViolationError(
-            f"shift point {shift_point} is not below lambda_min={vals[0]}"
-        )
-    return float(np.sum(1.0 / (vals - shift_point)))
-
-
-def upper_potential(shift_point: float, m) -> float:
-    """Sum of ``1 / (shift_point - lambda_i)`` over the spectrum of *m*.
-
-    Requires ``shift_point`` strictly above the largest eigenvalue.
-    """
-    vals = sym_eig(m).values
-    if shift_point <= vals[-1]:
-        raise BarrierViolationError(
-            f"shift point {shift_point} is not above lambda_max={vals[-1]}"
-        )
-    return float(np.sum(1.0 / (shift_point - vals)))
-
-
-def lower_gain(v, shift: float, m, barrier: float) -> float:
-    """Largest admissible reciprocal weight for advancing the lower barrier.
-
-    With ``l' = barrier + shift``, evaluates
-
-        v.T (M - l' I)^{-2} v / (phi(l') - phi(l))  -  v.T (M - l' I)^{-1} v
-
-    through the eigendecomposition of ``M``, where ``phi`` is the lower
-    potential.  Adding ``t * v v.T`` to ``M`` keeps the shifted barrier safe
-    whenever ``1/t`` is at most this value.
-    """
-    eig = sym_eig(m)
-    vals = eig.values
-    lp = barrier + shift
-    if lp >= vals[0]:
-        raise BarrierViolationError(
-            f"shifted barrier {lp} is not below lambda_min={vals[0]}"
-        )
-    w = eig.vectors.T @ np.asarray(v, dtype=float)
-    dif = vals - lp
-    denom = float(np.sum(1.0 / dif) - np.sum(1.0 / (vals - barrier)))
-    if denom <= 0.0:
-        raise DegeneratePotentialError("potential difference vanished on the lower side")
-    w2 = w * w
-    return float(np.sum(w2 / dif**2) / denom - np.sum(w2 / dif))
-
-
-def upper_gain_frob(z, delta: float) -> float:
-    """Frobenius-budget charge of a column: ``z.T z / delta``."""
-    if not delta > 0:
-        raise ArgumentError(f"delta must be positive, got {delta}")
-    z = np.asarray(z, dtype=float)
-    return float(z @ z / delta)
-
-
-def upper_gain_spec(q, shift: float, m, barrier: float) -> float:
-    """Smallest admissible reciprocal weight against the upper barrier.
-
-    With ``u' = barrier + shift``, evaluates
-
-        q.T (M - u' I)^{-2} q / (phihat(u) - phihat(u'))  -  q.T (M - u' I)^{-1} q
-
-    where ``phihat`` is the upper potential.  Adding ``t * q q.T`` to ``M``
-    keeps the shifted barrier safe whenever ``1/t`` is at least this value.
-    """
-    eig = sym_eig(m)
-    vals = eig.values
-    up = barrier + shift
-    if up <= vals[-1]:
-        raise BarrierViolationError(
-            f"shifted barrier {up} is not above lambda_max={vals[-1]}"
-        )
-    denom = float(np.sum(1.0 / (barrier - vals)) - np.sum(1.0 / (up - vals)))
-    if denom <= 0.0:
-        raise DegeneratePotentialError("potential difference vanished on the upper side")
-    w = eig.vectors.T @ np.asarray(q, dtype=float)
-    w2 = w * w
-    dif = vals - up
-    return float(np.sum(w2 / dif**2) / denom - np.sum(w2 / dif))
-
-
 def leverage_scores(v_rows) -> np.ndarray:
     """Sampling probabilities ``p_i = ||v_i||^2 / k`` for the columns of *v_rows*.
 
@@ -215,6 +122,38 @@ def upper_shift(ell2: int, k: int, r: int) -> float:
     return (1.0 + math.sqrt(ell2 / r)) / (1.0 - math.sqrt(k / r))
 
 
+def _gains(lam: np.ndarray, g2, barrier: float, shifted: float, tau: int) -> np.ndarray:
+    """Closed-form barrier gain of every candidate column.
+
+    *lam* is the spectrum of the accumulator ``M`` and ``g2[:, j]`` holds
+    the squared coordinates of candidate ``j`` in its eigenbasis.  With
+    ``d = lam - shifted`` and the potential difference
+    ``dphi = sum(1/d) - sum(1/(lam - barrier))``, candidate ``g`` scores
+
+        g.T (M - shifted I)^{-2} g / dphi  -  g.T (M - shifted I)^{-1} g
+
+    as the barrier moves from *barrier* to *shifted*.  On the lower side
+    the spectrum lies above both and the score caps ``1/t`` from above; on
+    the upper side it lies below both and the score caps ``1/t`` from
+    below.  ``g2=None`` stands for the identity: the candidates are the
+    eigenvectors themselves.
+    """
+    d = lam - shifted
+    inv = 1.0 / d
+    dphi = float(np.sum(inv) - np.sum(1.0 / (lam - barrier)))
+    if dphi <= 0.0:
+        if d[0] > 0.0:
+            side, diagnostics = "lower", {"barrier": barrier, "lambda_min": float(lam.min())}
+        else:
+            side, diagnostics = "upper", {"barrier": barrier, "lambda_max": float(lam.max())}
+        raise NumericalSearchError(
+            f"{side} potential difference vanished", step=tau, diagnostics=diagnostics
+        )
+    if g2 is None:
+        return inv * inv / dphi - inv
+    return (g2 / np.square(d)[:, None]).sum(axis=0) / dphi - (g2 / d[:, None]).sum(axis=0)
+
+
 class _FrobeniusUpper:
     """Static per-column charges ``||b_i||^2 / delta_B``; no barrier state."""
 
@@ -228,67 +167,38 @@ class _FrobeniusUpper:
         pass
 
 
-class _SpectralUpperDiag:
-    """Upper-barrier bookkeeping for the identity second set.
+class _SpectralUpper:
+    """Upper-barrier bookkeeping for an orthonormal-row second set *q*.
 
-    Rank-one updates with standard basis vectors keep the accumulator
-    diagonal, so potentials reduce to sums over a length-n vector and the
-    per-column gain costs O(1) after an O(n) sweep per iteration.
+    ``q=None`` stands for the n x n identity.  Rank-one updates with
+    standard basis vectors keep its accumulator diagonal, so the spectrum
+    is the diagonal itself and the candidate scan costs O(n) per iteration
+    instead of an eigendecomposition and an ell2 x n product.
     """
 
-    def __init__(self, n: int, k: int, r: int):
-        self.diag = np.zeros(n)
-        self.delta = upper_shift(n, k, r)
-        self._offset = math.sqrt(n * r)
-
-    def values(self, tau: int) -> np.ndarray:
-        u = self.delta * (tau + self._offset)
-        dmax = float(self.diag.max())
-        _check_upper_barrier(dmax, u, tau)
-        inv_u = 1.0 / (u - self.diag)
-        inv_up = 1.0 / (u + self.delta - self.diag)
-        dphi = float(inv_u.sum() - inv_up.sum())
-        if dphi <= 0.0:
-            raise NumericalSearchError(
-                "upper potential difference vanished", step=tau,
-                diagnostics={"barrier": u, "lambda_max": dmax},
-            )
-        return inv_up * inv_up / dphi + inv_up
-
-    def add(self, index: int, t: float) -> None:
-        self.diag[index] += t
-
-
-class _SpectralUpperDense:
-    """Upper-barrier bookkeeping for a general orthonormal-row second set."""
-
-    def __init__(self, q_cols: np.ndarray, k: int, r: int):
-        self.q = q_cols
-        ell2 = q_cols.shape[0]
-        self.accum = np.zeros((ell2, ell2))
+    def __init__(self, q, n: int, k: int, r: int):
+        self.q = q
+        ell2 = n if q is None else q.shape[0]
+        self.accum = np.zeros(n) if q is None else np.zeros((ell2, ell2))
         self.delta = upper_shift(ell2, k, r)
         self._offset = math.sqrt(ell2 * r)
 
     def values(self, tau: int) -> np.ndarray:
         u = self.delta * (tau + self._offset)
-        lam, vecs = np.linalg.eigh(self.accum)
-        _check_upper_barrier(float(lam[-1]), u, tau)
-        inv_u = 1.0 / (u - lam)
-        inv_up = 1.0 / (u + self.delta - lam)
-        dphi = float(inv_u.sum() - inv_up.sum())
-        if dphi <= 0.0:
-            raise NumericalSearchError(
-                "upper potential difference vanished", step=tau,
-                diagnostics={"barrier": u, "lambda_max": float(lam[-1])},
-            )
-        g2 = np.square(vecs.T @ self.q)
-        return (g2 * (inv_up * inv_up)[:, None]).sum(axis=0) / dphi + (
-            g2 * inv_up[:, None]
-        ).sum(axis=0)
+        if self.q is None:
+            lam, g2 = self.accum, None
+        else:
+            lam, vecs = np.linalg.eigh(self.accum)
+            g2 = np.square(vecs.T @ self.q)
+        _check_upper_barrier(float(lam.max()), u, tau)
+        return _gains(lam, g2, u, u + self.delta, tau)
 
     def add(self, index: int, t: float) -> None:
-        qi = self.q[:, index]
-        self.accum += t * np.outer(qi, qi)
+        if self.q is None:
+            self.accum[index] += t
+        else:
+            qi = self.q[:, index]
+            self.accum += t * np.outer(qi, qi)
 
 
 def _check_lower_barrier(lam_min: float, barrier: float, tau: int) -> None:
@@ -325,17 +235,7 @@ def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> tuple[np.ndarray, np.nd
                 "shifted lower barrier reached the spectrum", step=tau,
                 diagnostics={"barrier": ell, "lambda_min": float(lam[0])},
             )
-        dif = lam - ellp
-        dphi = float(np.sum(1.0 / dif) - np.sum(1.0 / (lam - ell)))
-        if dphi <= 0.0:
-            raise NumericalSearchError(
-                "lower potential difference vanished", step=tau,
-                diagnostics={"barrier": ell, "lambda_min": float(lam[0])},
-            )
-        g2 = np.square(vecs.T @ v_rows)
-        lower_vals = (g2 / np.square(dif)[:, None]).sum(axis=0) / dphi - (
-            g2 / dif[:, None]
-        ).sum(axis=0)
+        lower_vals = _gains(lam, np.square(vecs.T @ v_rows), ell, ellp, tau)
         upper_vals = upper.values(tau)
         admissible = (upper_vals <= lower_vals) & (upper_vals + lower_vals > 0.0)
         hits = np.flatnonzero(admissible)
@@ -407,24 +307,24 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
         sigma_k(v_rows applied)  >=  1 - sqrt(k/r)
         ||q applied||_2          <=  1 + sqrt(ell2/r)
 
-    When *q* is the n x n identity the accumulator stays diagonal and the
-    candidate scan runs in O(n) per iteration.  The output is a pure
-    function of the inputs.
+    When *q* is exactly the n x n identity (square, n nonzeros, unit
+    diagonal) it is recognised without any n x n product, skips the
+    orthonormality check it passes by construction, and the accumulator
+    stays diagonal, so the candidate scan runs in O(n) per iteration.  The
+    output is a pure function of the inputs.
     """
     v_rows = as_matrix(v_rows)
     q = as_matrix(q)
     k, n = v_rows.shape
+    identity = q.shape == (n, n) and np.count_nonzero(q) == n and np.all(q.diagonal() == 1.0)
     if q.shape[1] != n:
         raise ArgumentError(f"second set has {q.shape[1]} columns, expected {n}")
     _require_orthonormal_rows(v_rows, "v_rows")
-    _require_orthonormal_rows(q, "q")
+    if not identity:
+        _require_orthonormal_rows(q, "q")
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    if q.shape[0] == n and np.array_equal(q, np.eye(n)):
-        upper = _SpectralUpperDiag(n, k, r)
-    else:
-        upper = _SpectralUpperDense(q, k, r)
-    picked, t_vals = _dual_set_loop(v_rows, r, upper)
+    picked, t_vals = _dual_set_loop(v_rows, r, _SpectralUpper(None if identity else q, n, k, r))
     return _finish_plan(n, r, k, picked, t_vals)
 
 

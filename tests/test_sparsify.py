@@ -1,14 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kmselect.errors import (
-    ArgumentError,
-    BarrierViolationError,
-    ContractViolationError,
-)
+from kmselect import sparsify
+from kmselect.errors import ArgumentError, NumericalSearchError
 from kmselect.linalg import sigma_k, spectral_norm
 from kmselect.sparsify import (
     SamplingPlan,
@@ -17,12 +15,7 @@ from kmselect.sparsify import (
     deterministic_sampling_two,
     identity_plan,
     leverage_scores,
-    lower_gain,
-    lower_potential,
     randomized_sampling,
-    upper_gain_frob,
-    upper_gain_spec,
-    upper_potential,
 )
 
 from conftest import orthonormal_rows
@@ -84,135 +77,143 @@ def test_apply_plan_dimension_mismatch(rng):
 
 
 # ---------------------------------------------------------------------------
-# potentials and gains
+# barrier gains and barrier checks
 # ---------------------------------------------------------------------------
 
 
-def test_lower_potential_zero_matrix():
-    assert lower_potential(-1.0, np.zeros((2, 2))) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_lower_potential_diagonal():
-    assert lower_potential(1.0, np.diag([2.0, 3.0])) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_lower_potential_matches_eigensolver_oracle(rng):
-    g = rng.standard_normal((3, 3))
-    m = g @ g.T
+def _inverse_oracle(m, g, barrier, shifted):
+    # g.T (M - s I)^{-2} g / dphi  -  g.T (M - s I)^{-1} g with explicit inverses
     lam = np.linalg.eigvalsh(m)
-    expected = float(np.sum(1.0 / (lam + 0.5)))
-    assert lower_potential(-0.5, m) == pytest.approx(expected, abs=1e-9)
+    inv = np.linalg.inv(m - shifted * np.eye(m.shape[0]))
+    dphi = float(np.sum(1.0 / (lam - shifted)) - np.sum(1.0 / (lam - barrier)))
+    return float(g @ inv @ inv @ g) / dphi - float(g @ inv @ g)
 
 
-def test_lower_potential_barrier_violation():
-    with pytest.raises(BarrierViolationError):
-        lower_potential(2.5, np.diag([2.0, 3.0]))
-
-
-def test_upper_potential_zero_matrix():
-    assert upper_potential(1.0, np.zeros((2, 2))) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_upper_potential_diagonal():
-    assert upper_potential(4.0, np.diag([2.0, 3.0])) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_upper_potential_matches_eigensolver_oracle(rng):
-    g = rng.standard_normal((4, 4))
-    m = g @ g.T
-    lam = np.linalg.eigvalsh(m)
-    shift = float(lam[-1]) + 1.0
-    expected = float(np.sum(1.0 / (shift - lam)))
-    assert upper_potential(shift, m) == pytest.approx(expected, abs=1e-9)
-
-
-def test_upper_potential_barrier_violation():
-    with pytest.raises(BarrierViolationError):
-        upper_potential(3.0, np.diag([2.0, 3.0]))
-
-
-def test_potentials_reject_asymmetric():
-    with pytest.raises(ContractViolationError):
-        lower_potential(-1.0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+def _eigen_g2(m, g):
+    # squared coordinates of the columns of g in the eigenbasis of m
+    lam, vecs = np.linalg.eigh(m)
+    return lam, np.square(vecs.T @ g)
 
 
 def test_lower_gain_scalar_closed_form():
     # c=3, barrier 0, shift 1: 1/4 / (1/2 - 1/3) - 1/2 = 1.0
-    got = lower_gain(np.array([1.0]), 1.0, np.array([[3.0]]), 0.0)
-    assert got == pytest.approx(1.0, abs=1e-12)
+    for g2 in (np.array([[1.0]]), None):
+        got = sparsify._gains(np.array([3.0]), g2, 0.0, 1.0, 0)
+        np.testing.assert_allclose(got, [1.0], atol=1e-12)
 
 
 def test_lower_gain_zero_vector():
-    got = lower_gain(np.zeros(2), 1.0, np.diag([3.0, 4.0]), 0.0)
-    assert got == pytest.approx(0.0, abs=1e-15)
+    got = sparsify._gains(np.array([3.0, 4.0]), np.zeros((2, 1)), 0.0, 1.0, 0)
+    np.testing.assert_allclose(got, [0.0], atol=1e-15)
 
 
 def test_lower_gain_matches_explicit_inverse_oracle(rng):
     g = rng.standard_normal((3, 3))
     m = g @ g.T + 3.0 * np.eye(3)
-    v = rng.standard_normal(3)
-    barrier, shift = 0.5, 1.0
-    lp = barrier + shift
-    inv = np.linalg.inv(m - lp * np.eye(3))
-    lam = np.linalg.eigvalsh(m)
-    denom = float(np.sum(1.0 / (lam - lp)) - np.sum(1.0 / (lam - barrier)))
-    expected = float(v @ inv @ inv @ v) / denom - float(v @ inv @ v)
-    assert lower_gain(v, shift, m, barrier) == pytest.approx(expected, abs=1e-8)
-
-
-def test_lower_gain_barrier_violation():
-    with pytest.raises(BarrierViolationError):
-        lower_gain(np.ones(2), 1.0, np.diag([1.5, 3.0]), 1.0)
-
-
-def test_upper_gain_frob_direct():
-    assert upper_gain_frob(np.array([1.0, 2.0]), 2.0) == pytest.approx(2.5, abs=1e-12)
-
-
-def test_upper_gain_frob_zero_vector():
-    assert upper_gain_frob(np.zeros(3), 1.0) == 0.0
-
-
-def test_upper_gain_frob_budget_constant():
-    # ||B||_F^2 = 4, k=1, r=4 gives budget 4 / (1 - 1/2) = 8
-    budget = 4.0 / (1.0 - math.sqrt(1.0 / 4.0))
-    assert budget == pytest.approx(8.0, abs=1e-12)
-    b = np.array([1.0, 1.0])
-    assert upper_gain_frob(b, budget) == pytest.approx((b @ b) / 8.0, abs=1e-12)
-
-
-def test_upper_gain_frob_rejects_nonpositive_delta():
-    with pytest.raises(ArgumentError):
-        upper_gain_frob(np.ones(2), 0.0)
+    v = rng.standard_normal((3, 4))
+    barrier, shifted = 0.5, 1.5
+    expected = [_inverse_oracle(m, v[:, j], barrier, shifted) for j in range(4)]
+    lam, g2 = _eigen_g2(m, v)
+    np.testing.assert_allclose(sparsify._gains(lam, g2, barrier, shifted, 0), expected, atol=1e-8)
 
 
 def test_upper_gain_spec_scalar_closed_form():
-    got = upper_gain_spec(np.array([1.0]), 1.0, np.array([[0.0]]), 2.0)
-    assert got == pytest.approx(1.0, abs=1e-12)
+    # 0 below barrier 2, shift 1: 1/9 / (1/2 - 1/3) + 1/3 = 1.0
+    for g2 in (np.array([[1.0]]), None):
+        got = sparsify._gains(np.array([0.0]), g2, 2.0, 3.0, 0)
+        np.testing.assert_allclose(got, [1.0], atol=1e-12)
 
 
 def test_upper_gain_spec_zero_vector():
-    got = upper_gain_spec(np.zeros(2), 1.0, np.zeros((2, 2)), 2.0)
-    assert got == pytest.approx(0.0, abs=1e-15)
+    got = sparsify._gains(np.zeros(2), np.zeros((2, 1)), 2.0, 3.0, 0)
+    np.testing.assert_allclose(got, [0.0], atol=1e-15)
 
 
 def test_upper_gain_spec_matches_explicit_inverse_oracle(rng):
     g = rng.standard_normal((3, 3))
     m = g @ g.T
-    q = rng.standard_normal(3)
-    lam = np.linalg.eigvalsh(m)
-    barrier = float(lam[-1]) + 0.5
-    shift = 1.0
-    up = barrier + shift
-    inv = np.linalg.inv(m - up * np.eye(3))
-    denom = float(np.sum(1.0 / (barrier - lam)) - np.sum(1.0 / (up - lam)))
-    expected = float(q @ inv @ inv @ q) / denom - float(q @ inv @ q)
-    assert upper_gain_spec(q, shift, m, barrier) == pytest.approx(expected, abs=1e-8)
+    q = rng.standard_normal((3, 4))
+    barrier = float(np.linalg.eigvalsh(m)[-1]) + 0.5
+    shifted = barrier + 1.0
+    expected = [_inverse_oracle(m, q[:, j], barrier, shifted) for j in range(4)]
+    lam, g2 = _eigen_g2(m, q)
+    np.testing.assert_allclose(sparsify._gains(lam, g2, barrier, shifted, 0), expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_gains_identity_form_matches_explicit_inverse_oracle(side):
+    # g2=None scores the standard basis vectors against an unsorted diagonal
+    lam = np.array([2.5, 0.75, 1.5, 0.0, 3.0])
+    barrier, shifted = (-1.0, -0.5) if side == "lower" else (3.5, 4.25)
+    m = np.diag(lam)
+    eye = np.eye(lam.size)
+    expected = [_inverse_oracle(m, eye[:, j], barrier, shifted) for j in range(lam.size)]
+    got = sparsify._gains(lam, None, barrier, shifted, 0)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    np.testing.assert_allclose(sparsify._gains(lam, eye, barrier, shifted, 0), got, rtol=1e-12)
+
+
+def test_gains_report_a_vanished_potential_difference_per_side():
+    # a barrier step lost to rounding leaves the potential difference at 0
+    with pytest.raises(NumericalSearchError, match="lower potential difference vanished") as err:
+        sparsify._gains(np.array([1e20]), None, 0.0, 1.0, 4)
+    assert err.value.step == 4
+    assert err.value.diagnostics == {"barrier": 0.0, "lambda_min": 1e20}
+    with pytest.raises(NumericalSearchError, match="upper potential difference vanished") as err:
+        sparsify._gains(np.array([0.0]), np.ones((1, 2)), 1e20, 1e20 + 1.0, 4)
+    assert err.value.step == 4
+    assert err.value.diagnostics == {"barrier": 1e20, "lambda_max": 0.0}
+
+
+def test_lower_potential_barrier_violation():
+    # the lower potential is undefined once the spectrum reaches the barrier
+    with pytest.raises(NumericalSearchError, match="lower barrier crossed") as err:
+        sparsify._check_lower_barrier(2.0, 2.5, 3)
+    assert err.value.step == 3
+    assert err.value.diagnostics == {"barrier": 2.5, "lambda_min": 2.0}
+    sparsify._check_lower_barrier(2.5 * (1.0 - 1e-12), 2.5, 3)  # roundoff is tolerated
+
+
+def test_upper_potential_barrier_violation():
+    # strict: a spectrum touching the upper barrier already violates it
+    with pytest.raises(NumericalSearchError, match="upper barrier crossed"):
+        sparsify._check_upper_barrier(3.0, 3.0, 0)
+    sparsify._check_upper_barrier(3.0 * (1.0 - 1e-12), 3.0, 0)
+
+
+def test_lower_gain_barrier_violation(rng):
+    # with r = k = 1 the shifted lower barrier starts at lambda_min = 0
+    v_rows = orthonormal_rows(rng, 1, 5)
+    with pytest.raises(NumericalSearchError, match="shifted lower barrier") as err:
+        sparsify._dual_set_loop(v_rows, 1, sparsify._FrobeniusUpper(np.zeros(5)))
+    assert err.value.step == 0
+    assert err.value.diagnostics == {"barrier": -1.0, "lambda_min": 0.0}
 
 
 def test_upper_gain_spec_barrier_violation():
-    with pytest.raises(BarrierViolationError):
-        upper_gain_spec(np.ones(2), 0.5, np.diag([2.0, 3.0]), 2.0)
+    # both forms of the spectral upper side report the crossing with lambda_max
+    n, k, r = 4, 1, 2
+    for q in (None, np.eye(n)):
+        upper = sparsify._SpectralUpper(q, n, k, r)
+        upper.add(2, 1e6)
+        with pytest.raises(NumericalSearchError, match="upper barrier crossed") as err:
+            upper.values(0)
+        assert err.value.step == 0
+        assert err.value.diagnostics["lambda_max"] == pytest.approx(1e6, rel=1e-12)
+        assert err.value.diagnostics["barrier"] == upper.delta * math.sqrt(n * r)
+
+
+def test_no_admissible_column_reports_diagnostics(rng):
+    v_rows = orthonormal_rows(rng, 3, 20)
+    upper = sparsify._FrobeniusUpper(np.full(20, 1e300))
+    with pytest.raises(NumericalSearchError, match="no admissible column") as err:
+        sparsify._dual_set_loop(v_rows, 6, upper)
+    diagnostics = err.value.diagnostics
+    assert err.value.step == 0
+    assert set(diagnostics) == {"barrier", "lambda_min", "max_gap"}
+    assert diagnostics["barrier"] == -math.sqrt(18.0)
+    assert diagnostics["lambda_min"] == 0.0
+    assert diagnostics["max_gap"] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +328,39 @@ def test_sampler_two_deterministic(rng):
 
 def test_sampler_two_identity_fast_path_matches_dense(rng):
     # same instance through the diagonal and dense accumulators
-    from kmselect import sparsify
-
     n = 30
     v_rows = orthonormal_rows(rng, 3, n)
     fast = deterministic_sampling_two(v_rows, np.eye(n), 8)
     picked, t_vals = sparsify._dual_set_loop(
-        v_rows, 8, sparsify._SpectralUpperDense(np.eye(n), 3, 8)
+        v_rows, 8, sparsify._SpectralUpper(np.eye(n), n, 3, 8)
     )
     dense = sparsify._finish_plan(n, 8, 3, picked, t_vals)
     assert fast.indices == dense.indices
     np.testing.assert_allclose(fast.weights, dense.weights, rtol=1e-9)
+
+
+def test_sampler_two_identity_takes_no_quadratic_memory(rng):
+    # recognising the identity needs no n x n temporary; what remains is
+    # the n x n boolean finiteness mask of input validation (1/8 of q)
+    n = 4000
+    v_rows = orthonormal_rows(rng, 5, n)
+    q = np.eye(n)
+    tracemalloc.start()
+    try:
+        deterministic_sampling_two(v_rows, q, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < q.nbytes / 4
+
+
+def test_sampler_two_almost_identity_is_validated(rng):
+    # the identity shortcut fires only on the exact identity
+    n = 30
+    q = np.eye(n)
+    q[0, 1] = 1e-3
+    with pytest.raises(ArgumentError, match="q must have orthonormal rows"):
+        deterministic_sampling_two(orthonormal_rows(rng, 3, n), q, 6)
 
 
 @pytest.mark.parametrize("trial", range(12))
