@@ -1,11 +1,12 @@
 """Linear-algebraic k-means machinery.
 
-The clustering objective is evaluated in two provably equal ways: the
-centroid sum ``sum_i ||p_i - mu(p_i)||^2`` (used for computation) and the
-matrix form ``||A - X X.T A||_F^2`` through the scaled indicator matrix
-``X`` (asserted against the centroid form when assertions are enabled).
-Backends: seeded k-means++ plus Lloyd refinement, and an exhaustive
-optimal search for small instances.
+The clustering objective is computed as the centroid sum
+``sum_i ||p_i - mu(p_i)||^2``; it equals the matrix form
+``||A - X X.T A||_F^2`` through the scaled indicator matrix ``X``, an
+identity the tests and the ``objective-identity`` verify suite check.
+Cluster centroids come from one one-hot matmul kernel shared by the
+objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
+and an exhaustive optimal search for small instances.
 """
 
 from __future__ import annotations
@@ -78,12 +79,18 @@ def indicator(c: Clustering) -> np.ndarray:
     return x
 
 
+def _centroids(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    # k x n cluster means; every label in 0..k-1 must occur
+    onehot = (labels[:, None] == np.arange(k)).astype(float)
+    return (onehot.T @ a) / np.bincount(labels, minlength=k)[:, None]
+
+
 def objective(a, c: Clustering) -> float:
     """k-means cost of clustering the rows of *a* with *c*.
 
     Computed as the sum of squared distances of points to their cluster
     centroids; equal to ``||a - x @ x.T @ a||_F^2`` for the indicator
-    matrix ``x`` (the agreement is asserted when assertions are enabled).
+    matrix ``x``.
     """
     a = as_matrix(a)
     if a.shape[0] != c.num_points:
@@ -91,19 +98,8 @@ def objective(a, c: Clustering) -> float:
             f"matrix has {a.shape[0]} rows but the clustering covers {c.num_points} points"
         )
     labels = c.labels0()
-    k = c.num_clusters
-    sizes = np.bincount(labels, minlength=k).astype(float)
-    sums = np.zeros((k, a.shape[1]))
-    np.add.at(sums, labels, a)
-    centroids = sums / sizes[:, None]
-    value = float(np.square(a - centroids[labels]).sum())
-    if __debug__:
-        x = indicator(c)
-        matrix_form = float(np.square(a - x @ (x.T @ a)).sum())
-        assert abs(value - matrix_form) <= 1e-9 * max(1.0, value), (
-            f"objective forms disagree: {value} vs {matrix_form}"
-        )
-    return value
+    centroids = _centroids(a, labels, c.num_clusters)
+    return float(np.square(a - centroids[labels]).sum())
 
 
 def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
@@ -191,10 +187,7 @@ def lloyd(
     for _ in range(max_iter):
         labels, d2 = _assign(a, centroids)
         labels = _repair_empty(labels, d2, k)
-        sizes = np.bincount(labels, minlength=k).astype(float)
-        sums = np.zeros((k, a.shape[1]))
-        np.add.at(sums, labels, a)
-        centroids = sums / sizes[:, None]
+        centroids = _centroids(a, labels, k)
         obj = float(np.square(a - centroids[labels]).sum())
         assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0), (
             f"objective increased: {prev_obj} -> {obj}"
@@ -234,32 +227,28 @@ def lloyd_best(
 def _partition_batches(m: int, k: int):
     """Yield all assignments of m items into exactly k non-empty blocks.
 
-    Produces (batch, m) arrays of 0-based labels in restricted-growth
-    order, streamed in bounded batches so the Stirling-sized enumeration
-    never lives in memory at once.
+    Produces (batch, m) int8 arrays of 0-based labels in restricted-growth
+    (lexicographic) order, in slices of ``_PARTITION_BATCH`` rows.  The
+    strings are grown one position at a time: every prefix is extended by
+    each label up to one past its largest (capped at ``k - 1``), and a
+    prefix is dropped once its blocks plus the positions left fall short
+    of ``k``.
     """
-    labels = np.zeros(m, dtype=np.int64)
-    buffer: list[np.ndarray] = []
-    # depth-first frames: [position, blocks used so far, next label to try]
-    frames = [[0, 0, 0]]
-    while frames:
-        i, used, lab = frames[-1]
-        if i == m:
-            if used == k:
-                buffer.append(labels.copy())
-                if len(buffer) >= _PARTITION_BATCH:
-                    yield np.vstack(buffer)
-                    buffer.clear()
-            frames.pop()
-            continue
-        if used + (m - i) < k or lab > min(used, k - 1):
-            frames.pop()
-            continue
-        frames[-1][2] += 1
-        labels[i] = lab
-        frames.append([i + 1, used + 1 if lab == used else used, 0])
-    if buffer:
-        yield np.vstack(buffer)
+    prefixes = np.zeros((1, 1), dtype=np.int8)
+    used = np.ones(1, dtype=np.int8)
+    for i in range(1, m):
+        counts = np.minimum(used, k - 1) + 1
+        parent = np.repeat(np.arange(used.size), counts)
+        starts = np.cumsum(counts) - counts
+        labels = (np.arange(parent.size) - np.repeat(starts, counts)).astype(np.int8)
+        used = used[parent]
+        used = used + (labels == used)
+        keep = used + (m - 1 - i) >= k
+        prefixes = np.hstack([prefixes[parent[keep]], labels[keep, None]])
+        used = used[keep]
+    prefixes = prefixes[used == k]
+    for start in range(0, prefixes.shape[0], _PARTITION_BATCH):
+        yield prefixes[start:start + _PARTITION_BATCH]
 
 
 def _batch_objectives(a: np.ndarray, label_batch: np.ndarray, k: int, total_sq: float) -> np.ndarray:

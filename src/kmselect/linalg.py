@@ -207,7 +207,8 @@ def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
     four power iterations with re-orthonormalization on every pass, then a
     rank-k truncation of the projected problem.  The oversampling and
     iteration counts comfortably over-deliver on the stated expectation
-    contract for any ``epsilon`` in (0, 1).
+    contract for any ``epsilon`` in (0, 1).  Raises :class:`ArgumentError`
+    when the k-th singular value of the sketch falls below the zero floor.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -215,8 +216,8 @@ def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     if k < 2:
         raise ArgumentError(f"k must be at least 2, got {k}")
-    if k > numerical_rank(a):
-        raise ArgumentError(f"k={k} exceeds the numerical rank of the input")
+    if k > min(m, n):
+        raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
     rng = np.random.default_rng(seed)
     ell = min(k + 10, m, n)
     q = _orth(a @ rng.standard_normal((n, ell)))
@@ -225,7 +226,9 @@ def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
         q = _orth(a @ w)
     w = _orth(a.T @ q)
     b = a @ w
-    _, vecs = np.linalg.eigh(b.T @ b)
+    lam, vecs = np.linalg.eigh(b.T @ b)
+    if _floored_sigma(lam[::-1], a.shape)[k - 1] == 0.0:
+        raise ArgumentError(f"k={k} exceeds the numerical rank of the input")
     proj = vecs[:, ::-1][:, :k]
     z = w @ proj
     _fix_signs(z)  # orient like svd_top_k; the residual is unaffected

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import bound_report, theorem1_factor, theorem2_factor, theorem3_factor
 from .errors import ArgumentError, RankFailureError
 from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
-from .linalg import RANK_TOL, approx_svd_z, as_matrix, singular_values, svd_top_k
+from .linalg import RANK_TOL, approx_svd_z, as_matrix, residual, singular_values, svd_top_k
 from .sparsify import (
     SamplingPlan,
     apply_plan,
@@ -94,7 +94,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
             f"clustering has {given.num_clusters} clusters, expected k={k}"
         )
     top = svd_top_k(a, k)
-    low_rank_residual = a - (a @ top.v) @ top.v.T
+    low_rank_residual = residual(a, top.v)
     x = indicator(given)
     cluster_residual = a - x @ (x.T @ a)
     stacked = np.vstack([low_rank_residual, cluster_residual])

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import theorem1_factor, theorem2_factor, theorem3_factor, structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
-from .linalg import approx_svd_z, frobenius_norm, sigma_k, spectral_norm, svd_top_k
+from .linalg import approx_svd_z, frobenius_norm, residual, sigma_k, spectral_norm, svd_top_k
 from .pipelines import randomized_select, supervised_select, unsupervised_select
 from .sparsify import (
     apply_plan,
@@ -87,7 +87,7 @@ def sampler_one_trial(seed: int, m=100, n=200, k=5, r=20) -> dict:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     top = svd_top_k(a, k)
-    low_rank_residual = a - (a @ top.v) @ top.v.T
+    low_rank_residual = residual(a, top.v)
     given = lloyd_best(a, k, restarts=2, seed=seed)
     x = indicator(given)
     cluster_residual = a - x @ (x.T @ a)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from kmselect.errors import ArgumentError, ContractViolationError, ResourceLimitError
 from kmselect.kmeans import (
+    _PARTITION_BATCH,
     Clustering,
+    _partition_batches,
     brute_force_optimal,
     from_labels,
     indicator,
@@ -92,11 +95,15 @@ def test_objective_rectangle():
 
 
 def test_objective_matrix_form_agrees(rng):
+    cases = []
     for _ in range(20):
         m = int(rng.integers(3, 15))
         k = int(rng.integers(1, m + 1))
-        a = rng.standard_normal((m, 4))
-        c = random_clustering(rng, m, k)
+        cases.append((rng.standard_normal((m, 4)), random_clustering(rng, m, k)))
+    cases.append((rng.standard_normal((2000, 50)), random_clustering(rng, 2000, 10)))
+    scaled = rng.standard_normal((2000, 50)) * np.logspace(-6, 6, 50)
+    cases.append((scaled, random_clustering(rng, 2000, 10)))
+    for a, c in cases:
         x = indicator(c)
         matrix_form = float(np.square(a - x @ (x.T @ a)).sum())
         assert objective(a, c) == pytest.approx(matrix_form, rel=1e-9, abs=1e-12)
@@ -239,6 +246,35 @@ def test_brute_force_beats_random_clusterings(rng):
     for _ in range(50):
         c = random_clustering(rng, 8, 3)
         assert best <= objective(a, c) + 1e-9
+
+
+def test_partition_batches_enumerate_restricted_growth_strings_in_order():
+    for m in range(1, 8):
+        # position i of a restricted-growth string holds at most i
+        strings = [
+            s for s in itertools.product(*(range(i + 1) for i in range(m)))
+            if all(s[i] <= max(s[:i], default=-1) + 1 for i in range(m))
+        ]
+        for k in range(1, m + 1):
+            expected = [s for s in strings if max(s) == k - 1]
+            batches = list(_partition_batches(m, k))
+            assert all(b.shape[0] <= _PARTITION_BATCH for b in batches)
+            assert np.array_equal(np.vstack(batches), np.array(expected)), (m, k)
+
+
+def test_partition_batches_cut_full_batches_first():
+    # S(10, 4) = 34105 rows: eight full batches, then the remainder
+    sizes = [b.shape[0] for b in _partition_batches(10, 4)]
+    assert sizes == [_PARTITION_BATCH] * 8 + [34105 - 8 * _PARTITION_BATCH]
+
+
+def test_brute_force_tie_keeps_first_partition_in_enumeration_order():
+    # unit square listed as (0,0), (1,1), (0,1), (1,0): the two side splits
+    # tie exactly at cost 1; "0101" precedes "0110" in restricted-growth order
+    a = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    first, second = Clustering(4, 2, (1, 2, 1, 2)), Clustering(4, 2, (1, 2, 2, 1))
+    assert objective(a, first) == objective(a, second) == 1.0
+    assert brute_force_optimal(a, 2).assignment == first.assignment
 
 
 def test_brute_force_enumeration_guard(rng):

@@ -298,3 +298,9 @@ def test_approx_svd_argument_errors(rng):
     low = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 6))
     with pytest.raises(ArgumentError):
         approx_svd_z(low, 2, 0.5, seed=0)
+    with pytest.raises(ArgumentError):
+        approx_svd_z(a, 7, 0.5, seed=0)  # k > min(m, n)
+    noisy = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
+    noisy += 1e-10 * rng.standard_normal((10, 6))
+    with pytest.raises(ArgumentError):
+        approx_svd_z(noisy, 3, 0.5, seed=0)
