@@ -7,6 +7,16 @@ identity the tests and the ``objective-identity`` verify suite check.
 Cluster centroids come from one one-hot matmul kernel shared by the
 objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
 and an exhaustive optimal search for small instances.
+
+Both backends first multiply the points by the exact power of two that
+brings their largest magnitude into ``[0.5, 1)``, so squared distances
+of huge or tiny data neither overflow nor underflow, and at ordinary
+scales the scaling alone changes no comparison.  The exhaustive search
+also subtracts the column means and scores every labelling through the
+``m x m`` Gram matrix ``g`` of the centred points, as
+``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
+number of columns, and an offset in the data changes the scores only by
+the rounding of the column means.
 """
 
 from __future__ import annotations
@@ -83,6 +93,13 @@ def _centroids(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     # k x n cluster means; every label in 0..k-1 must occur
     onehot = (labels[:, None] == np.arange(k)).astype(float)
     return (onehot.T @ a) / np.bincount(labels, minlength=k)[:, None]
+
+
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    # a * 2**-e with max |a| in [0.5, 1); exact for every entry that stays
+    # in the normal range, so squared distances scale by exactly 2**-2e
+    e = int(np.frexp(np.abs(a).max())[1])
+    return (np.ldexp(a, -e) if e else a), e
 
 
 def objective(a, c: Clustering) -> float:
@@ -167,16 +184,20 @@ def lloyd(
     drops below *tol* or *max_iter* is reached.  The objective is
     non-increasing across iterations; clusters emptied by an assignment
     step are repaired by reseeding them with the point farthest from its
-    current centroid (taken from a cluster of size at least two).
+    current centroid (taken from a cluster of size at least two).  The
+    points, *init* and *tol* are rescaled by one exact power of two first:
+    squared distances of huge or tiny data stay finite and non-zero, and
+    at ordinary scales every decision is the one made on the raw data.
     """
-    a = as_matrix(a)
+    a, e = _rescaled(as_matrix(a))
+    tol = float(np.ldexp(tol, -2 * e))
     m = a.shape[0]
     if not 1 <= k <= m:
         raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
     if init is None:
         centroids = kmeanspp_init(a, k, 0 if seed is None else seed)
     else:
-        centroids = np.asarray(init, dtype=float).copy()
+        centroids = np.ldexp(np.asarray(init, dtype=float), -e)
         if centroids.shape != (k, a.shape[1]):
             raise ArgumentError(
                 f"init must be a {k}x{a.shape[1]} array, got {centroids.shape}"
@@ -209,8 +230,13 @@ def lloyd_best(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> Clustering:
-    """Best of *restarts* seeded k-means++/Lloyd runs (ties keep the earliest)."""
-    a = as_matrix(a)
+    """Best of *restarts* seeded k-means++/Lloyd runs (ties keep the earliest).
+
+    The restarts run and are ranked on the points rescaled as in
+    :func:`lloyd`, so their costs stay finite and comparable.
+    """
+    a, e = _rescaled(as_matrix(a))
+    tol = float(np.ldexp(tol, -2 * e))
     if restarts < 1:
         raise ArgumentError(f"need at least one restart, got {restarts}")
     base = 0 if seed is None else seed
@@ -251,18 +277,31 @@ def _partition_batches(m: int, k: int):
         yield prefixes[start:start + _PARTITION_BATCH]
 
 
-def _batch_objectives(a: np.ndarray, label_batch: np.ndarray, k: int, total_sq: float) -> np.ndarray:
-    onehot = (label_batch[:, :, None] == np.arange(k)).astype(float)
-    counts = onehot.sum(axis=1)
-    sums = np.einsum("pmk,mn->pkn", onehot, a)
-    return total_sq - (np.square(sums).sum(axis=2) / counts).sum(axis=1)
+def _centred_gram(a: np.ndarray) -> np.ndarray:
+    # m x m Gram matrix of the rescaled points minus their column means
+    c = _rescaled(a)[0]
+    c = c - c.mean(axis=0)
+    return c @ c.T
+
+
+def _batch_objectives(g: np.ndarray, label_batch: np.ndarray, k: int) -> np.ndarray:
+    # cost of each labelling: trace(g) minus the between-cluster energy
+    # sum_c 1_c.T g 1_c / |c|, from one batched (p, k, m) @ (m, m) matmul
+    onehot = (label_batch[:, None, :] == np.arange(k)[:, None]).astype(float)
+    between = ((onehot @ g) * onehot).sum(axis=2) / onehot.sum(axis=2)
+    return np.trace(g) - between.sum(axis=1)
 
 
 def brute_force_optimal(a, k: int) -> Clustering:
     """Globally optimal clustering by exhaustive search over all k-partitions.
 
     Guarded to at most 12 points; the count of partitions grows as a
-    Stirling number.  Ties keep the first partition in enumeration order.
+    Stirling number.  The points are rescaled by an exact power of two and
+    centred, and every labelling is scored through the ``m x m`` Gram
+    matrix of the result, so time and memory do not grow with the number
+    of columns.  Scaling the data by a power of two leaves every score
+    exactly as it was; translating it changes them only by the rounding of
+    the column means.  Ties keep the first partition in enumeration order.
     """
     a = as_matrix(a)
     m = a.shape[0]
@@ -272,11 +311,11 @@ def brute_force_optimal(a, k: int) -> Clustering:
         raise ResourceLimitError(
             f"exhaustive search is limited to {BRUTE_FORCE_MAX_POINTS} points, got {m}"
         )
-    total_sq = float(np.square(a).sum())
+    g = _centred_gram(a)
     best_labels = None
     best_obj = np.inf
     for batch in _partition_batches(m, k):
-        objs = _batch_objectives(a, batch, k, total_sq)
+        objs = _batch_objectives(g, batch, k)
         j = int(objs.argmin())
         if objs[j] < best_obj:
             best_obj = float(objs[j])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from kmselect.errors import ArgumentError, ContractViolationError, ResourceLimit
 from kmselect.kmeans import (
     _PARTITION_BATCH,
     Clustering,
+    _batch_objectives,
+    _centred_gram,
     _partition_batches,
+    _rescaled,
     brute_force_optimal,
     from_labels,
     indicator,
@@ -203,6 +207,23 @@ def test_lloyd_matches_brute_force_on_small_instances(rng):
     assert hits >= 19
 
 
+def test_lloyd_best_clusters_data_whose_squares_overflow():
+    c = lloyd_best([[1e200], [1.1e200], [-1e200]], 2)
+    assert c.num_clusters == 2
+    assert c.assignment[0] == c.assignment[1] != c.assignment[2]
+    c = lloyd([[1e200], [1.1e200], [-1e200]], 2, init=[[-1e200], [1.05e200]])
+    assert c.assignment == (2, 2, 1)
+
+
+def test_lloyd_decisions_are_invariant_to_power_of_two_scaling(rng):
+    # a tol that stops runs early must scale with the squared distances
+    for t in range(5):
+        a = rng.standard_normal((60, 3)) + rng.integers(0, 3, size=(60, 1))
+        ref = lloyd(a, 4, seed=t, tol=3.0)
+        for j in (-300, -40, 40, 300):
+            assert lloyd(np.ldexp(a, j), 4, seed=t, tol=np.ldexp(3.0, 2 * j)) == ref
+
+
 def test_lloyd_argument_errors(rng):
     a = rng.standard_normal((3, 2))
     with pytest.raises(ArgumentError):
@@ -275,6 +296,53 @@ def test_brute_force_tie_keeps_first_partition_in_enumeration_order():
     first, second = Clustering(4, 2, (1, 2, 1, 2)), Clustering(4, 2, (1, 2, 2, 1))
     assert objective(a, first) == objective(a, second) == 1.0
     assert brute_force_optimal(a, 2).assignment == first.assignment
+
+
+@pytest.mark.parametrize(
+    "points, expected",
+    [
+        # offset: x**2 of 1e9 + x swamps the spread in uncentred sums
+        ((1e9 + np.array([0.0, 1.0, 10.0, 11.0]))[:, None], (1, 1, 2, 2)),
+        # tiny scale: the squares underflow to zero
+        (np.array([[1e-200], [1.1e-200], [-1e-200], [5e-201]]), (1, 1, 2, 1)),
+        # huge scale: the squares overflow to inf
+        (np.array([[1e160, 0.0], [1e160, 1.0], [0.0, 1e160], [3.0, 1e160]]), (1, 1, 2, 2)),
+        (np.array([[1e200], [1.1e200], [-1e200]]), (1, 1, 2)),
+    ],
+    ids=["offset", "tiny", "huge-2d", "huge-1d"],
+)
+def test_brute_force_exact_partition_on_offset_tiny_and_huge_data(points, expected):
+    # assignments only: objective itself overflows on the huge inputs
+    assert brute_force_optimal(points, max(expected)).assignment == expected
+
+
+def test_gram_scores_equal_objective_for_every_labelling(rng):
+    for m in range(1, 8):
+        plain = rng.standard_normal((m, 3))
+        inputs = [plain, plain + 1e8, rng.standard_normal((m, 7)) * np.logspace(-6, 6, 7)]
+        for a in inputs:
+            g, e = _centred_gram(a), _rescaled(a)[1]
+            total = objective(a, Clustering(m, 1, (1,) * m))
+            for k in range(1, m + 1):
+                for batch in _partition_batches(m, k):
+                    scores = np.ldexp(_batch_objectives(g, batch, k), 2 * e)
+                    exact = [objective(a, Clustering(m, k, tuple(row + 1))) for row in batch]
+                    np.testing.assert_allclose(scores, exact, rtol=0, atol=1e-12 * total)
+
+
+def _brute_force_peak_bytes(a, k):
+    tracemalloc.start()
+    try:
+        brute_force_optimal(a, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_force_memory_does_not_grow_with_columns(rng):
+    narrow = _brute_force_peak_bytes(rng.standard_normal((12, 30)), 4)
+    wide = _brute_force_peak_bytes(rng.standard_normal((12, 3000)), 4)
+    assert wide < 2 * narrow
 
 
 def test_brute_force_enumeration_guard(rng):
