@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .kmeans import Clustering, indicator
-from .linalg import RANK_TOL, as_matrix, residual, singular_values
+from .linalg import as_matrix, residual, singular_values
 from .sparsify import SamplingPlan, apply_plan
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
@@ -134,7 +134,7 @@ def structural_check(
         "gamma": float(gamma),
     }
     sig = singular_values(apply_plan(z.T, plan))
-    if sig[0] == 0.0 or sig.size < k or sig[k - 1] <= RANK_TOL * sig[0]:
+    if sig.size < k or sig[k - 1] == 0.0:
         return BoundReport(
             name="structural-bound",
             lhs=lhs,

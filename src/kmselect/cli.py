@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -49,25 +50,24 @@ def _timestamp() -> str:
 
 
 def read_matrix_csv(path: str, has_header: bool) -> np.ndarray:
-    """Read a points-by-features matrix of decimal reals from a CSV file."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if has_header and line_no == 1:
-                continue
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ArgumentError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
+    """Read a points-by-features matrix of decimal reals from a CSV file.
+
+    Blank lines are skipped, and so is the first line when *has_header*.
+    Ragged rows, text and trailing ``#`` notes are rejected.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below as "no data rows"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            a = np.loadtxt(
+                path, delimiter=",", skiprows=int(has_header), ndmin=2,
+                comments=None, quotechar='"',
+            )
+    except ValueError as exc:
+        raise ArgumentError(f"{path}: {exc}") from exc
+    if a.size == 0:
         raise ArgumentError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ArgumentError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=float)
+    return a
 
 
 def write_matrix_csv(path: str, a: np.ndarray) -> None:

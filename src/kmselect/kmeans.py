@@ -8,12 +8,13 @@ Cluster centroids come from one one-hot matmul kernel shared by the
 objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
 and an exhaustive optimal search for small instances.
 
-Both backends first multiply the points by the exact power of two that
-brings their largest magnitude into ``[0.5, 1)``, so squared distances
-of huge or tiny data neither overflow nor underflow, and at ordinary
-scales the scaling alone changes no comparison.  The exhaustive search
-also subtracts the column means and scores every labelling through the
-``m x m`` Gram matrix ``g`` of the centred points, as
+Both backends, k-means++ seeding and the objective first multiply the
+points by the exact power of two that brings their largest magnitude
+into ``[0.5, 1)``, so squared distances of huge or tiny data neither
+overflow nor underflow, and at ordinary scales the scaling alone changes
+no comparison and no value.  The exhaustive search also subtracts the
+column means and scores every labelling through the ``m x m`` Gram
+matrix ``g`` of the centred points, as
 ``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
 number of columns, and an offset in the data changes the scores only by
 the rounding of the column means.
@@ -21,6 +22,7 @@ the rounding of the column means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +99,9 @@ def _centroids(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     # a * 2**-e with max |a| in [0.5, 1); exact for every entry that stays
-    # in the normal range, so squared distances scale by exactly 2**-2e
-    e = int(np.frexp(np.abs(a).max())[1])
+    # in the normal range, so squared distances scale by exactly 2**-2e;
+    # math.frexp on one scalar costs far less than the ufunc
+    e = math.frexp(float(np.abs(a).max()))[1]
     return (np.ldexp(a, -e) if e else a), e
 
 
@@ -107,7 +110,9 @@ def objective(a, c: Clustering) -> float:
 
     Computed as the sum of squared distances of points to their cluster
     centroids; equal to ``||a - x @ x.T @ a||_F^2`` for the indicator
-    matrix ``x``.
+    matrix ``x``.  The sum is taken on the rescaled points and scaled back
+    exactly; a cost beyond the float64 range raises
+    :class:`ContractViolationError`.
     """
     a = as_matrix(a)
     if a.shape[0] != c.num_points:
@@ -115,8 +120,12 @@ def objective(a, c: Clustering) -> float:
             f"matrix has {a.shape[0]} rows but the clustering covers {c.num_points} points"
         )
     labels = c.labels0()
-    centroids = _centroids(a, labels, c.num_clusters)
-    return float(np.square(a - centroids[labels]).sum())
+    b, e = _rescaled(a)
+    centroids = _centroids(b, labels, c.num_clusters)
+    try:
+        return math.ldexp(float(np.square(b - centroids[labels]).sum()), 2 * e)
+    except OverflowError:
+        raise ContractViolationError("the clustering cost exceeds the float64 range") from None
 
 
 def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
@@ -126,16 +135,19 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
     proportional to the squared distance to the nearest centroid so far.
     When all residual distances vanish (duplicate data), the draw falls
     back to uniform over the not-yet-chosen points, so ``k == m`` selects
-    every point exactly once.
+    every point exactly once.  Distances are taken on the rescaled points,
+    which leaves every draw as it is and keeps them finite on data whose
+    squares overflow.
     """
     a = as_matrix(a)
     m = a.shape[0]
     if not 1 <= k <= m:
         raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
+    b = _rescaled(a)[0]
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=int)
     chosen[0] = rng.integers(m)
-    d2 = np.square(a - a[chosen[0]]).sum(axis=1)
+    d2 = np.square(b - b[chosen[0]]).sum(axis=1)
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -144,7 +156,7 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(m), chosen[:j])
             idx = int(rng.choice(remaining))
         chosen[j] = idx
-        d2 = np.minimum(d2, np.square(a - a[idx]).sum(axis=1))
+        d2 = np.minimum(d2, np.square(b - b[idx]).sum(axis=1))
     return a[chosen].copy()
 
 

@@ -1,9 +1,13 @@
 """Dense decompositions and norms used by every other module.
 
-All routines work on plain float64 numpy arrays.  Singular values are
-computed through the symmetric eigendecomposition of the smaller Gram
-matrix (``A.T @ A`` or ``A @ A.T``), which keeps every consumer of this
-module on one deterministic code path.
+All routines work on plain float64 numpy arrays.  Every singular value
+comes from the symmetric eigendecomposition of a Gram matrix ``B.T @ B``:
+one private solver, :func:`_gram_eigh`, serves the top-k triplets of
+:func:`svd_top_k` (on the smaller Gram matrix of ``A``) and the projected
+problem of :func:`approx_svd_z`, and :func:`singular_values` uses the same
+route without vectors.  One floor, in :func:`_floored_sigma`, zeroes the
+eigenvalues the Gram route cannot resolve, so "rank at least k" is always
+the single test ``sigma_k > 0``.
 """
 
 from __future__ import annotations
@@ -14,11 +18,6 @@ import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, RankDeficiencyError
 
-# A singular value below RANK_TOL * sigma_1 counts as zero when resolvable.
-# The Gram route computes sigma_i^2, whose noise floor sits near
-# max(m, n) * eps relative to sigma_1^2, so values are zeroed there instead
-# when that floor is the larger of the two.
-RANK_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -68,8 +67,22 @@ class SymEig:
         return int(self.values.size)
 
 
-def _zero_floor(shape: tuple, lam_max: float) -> float:
-    return max(max(shape) * _EPS, RANK_TOL**2) * lam_max
+def _floored_sigma(lam: np.ndarray, shape: tuple) -> np.ndarray:
+    # Square roots of Gram eigenvalues *lam* (largest first) of a matrix of
+    # the given shape.  The Gram route computes sigma_i^2, whose rounding
+    # noise sits near max(m, n) * eps * sigma_1^2, so eigenvalues at or
+    # below that floor are zeroed and exact rank deficiency comes out as
+    # exact zeros.  Every value kept is above sqrt(eps) * sigma_1.
+    if lam[0] <= 0.0:
+        return np.zeros(lam.size)
+    return np.sqrt(np.where(lam > max(shape) * _EPS * lam[0], lam, 0.0))
+
+
+def _gram_eigh(b: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # Floored singular values of b and the eigenvectors of b.T @ b (the
+    # right singular vectors), largest first; *shape* sets the floor.
+    lam, vecs = np.linalg.eigh(b.T @ b)
+    return _floored_sigma(lam[::-1], shape), vecs[:, ::-1]
 
 
 def singular_values(a) -> np.ndarray:
@@ -82,11 +95,7 @@ def singular_values(a) -> np.ndarray:
     a = as_matrix(a)
     m, n = a.shape
     gram = a.T @ a if n <= m else a @ a.T
-    vals = np.linalg.eigvalsh(gram)[::-1]
-    if vals[0] <= 0.0:
-        return np.zeros(min(m, n))
-    vals = np.where(vals > _zero_floor(a.shape, vals[0]), vals, 0.0)
-    return np.sqrt(vals)
+    return _floored_sigma(np.linalg.eigvalsh(gram)[::-1], a.shape)
 
 
 def numerical_rank(a) -> int:
@@ -117,37 +126,19 @@ def svd_top_k(a, k: int) -> SvdTopK:
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
-    if n <= m:
-        lam, vecs = np.linalg.eigh(a.T @ a)
-        lam, vecs = lam[::-1], vecs[:, ::-1]
-        sig = _floored_sigma(lam, a.shape)
-        _check_rank(sig, k)
-        v = np.ascontiguousarray(vecs[:, :k])
-        s = sig[:k].copy()
-        u = (a @ v) / s
-    else:
-        lam, vecs = np.linalg.eigh(a @ a.T)
-        lam, vecs = lam[::-1], vecs[:, ::-1]
-        sig = _floored_sigma(lam, a.shape)
-        _check_rank(sig, k)
-        u = np.ascontiguousarray(vecs[:, :k])
-        s = sig[:k].copy()
-        v = (a.T @ u) / s
-    _fix_signs(v, u)
-    return SvdTopK(u=u, s=s, v=v)
-
-
-def _floored_sigma(lam: np.ndarray, shape: tuple) -> np.ndarray:
-    if lam[0] <= 0.0:
-        return np.zeros(lam.size)
-    return np.sqrt(np.where(lam > _zero_floor(shape, lam[0]), lam, 0.0))
-
-
-def _check_rank(sig: np.ndarray, k: int) -> None:
+    # the smaller Gram matrix: of a's columns when tall, of its rows when wide
+    b = a if n <= m else a.T
+    sig, vecs = _gram_eigh(b, a.shape)
     if sig[k - 1] == 0.0:
         raise RankDeficiencyError(
             f"requested k={k} singular triplets but the numerical rank is lower"
         )
+    x = np.ascontiguousarray(vecs[:, :k])  # the product's rounding depends on layout
+    s = sig[:k].copy()
+    y = (b @ x) / s
+    v, u = (x, y) if n <= m else (y, x)
+    _fix_signs(v, u)
+    return SvdTopK(u=u, s=s, v=v)
 
 
 def sym_eig(m) -> SymEig:
@@ -225,11 +216,9 @@ def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
         w = _orth(a.T @ q)
         q = _orth(a @ w)
     w = _orth(a.T @ q)
-    b = a @ w
-    lam, vecs = np.linalg.eigh(b.T @ b)
-    if _floored_sigma(lam[::-1], a.shape)[k - 1] == 0.0:
+    sig, vecs = _gram_eigh(a @ w, a.shape)
+    if sig[k - 1] == 0.0:
         raise ArgumentError(f"k={k} exceeds the numerical rank of the input")
-    proj = vecs[:, ::-1][:, :k]
-    z = w @ proj
+    z = w @ vecs[:, :k]
     _fix_signs(z)  # orient like svd_top_k; the residual is unaffected
     return z

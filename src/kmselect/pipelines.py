@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_report, theorem1_factor, theorem2_factor, theorem3_factor
-from .errors import ArgumentError, RankFailureError
+from .errors import ArgumentError, RankDeficiencyError, RankFailureError
 from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
-from .linalg import RANK_TOL, approx_svd_z, as_matrix, residual, singular_values, svd_top_k
+from .linalg import approx_svd_z, as_matrix, residual, svd_top_k
 from .sparsify import (
     SamplingPlan,
     apply_plan,
@@ -152,9 +152,11 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     stage of ``max(r, ceil(16 k ln(20 k)))`` columns, then deterministically
     narrows to r with the spectrally-capped sampler.  The composed plan
     multiplies the stage weights and routes stage-2 picks through stage-1
-    indices.  Reproducible for a fixed seed; a rank-deficient first-stage
-    sketch (probability at most 0.1 per draw) is retried up to three times
-    before :class:`RankFailureError` surfaces.
+    indices.  Reproducible for a fixed seed.  The first-stage sample is
+    kept when :func:`~kmselect.linalg.svd_top_k` finds rank k in the sampled
+    sketch; the same decomposition then drives the second stage.  A
+    rank-deficient draw (probability at most 0.1) is retried up to three
+    times before :class:`RankFailureError` surfaces.
     """
     a = as_matrix(a)
     _, n = a.shape
@@ -168,18 +170,17 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
         stage1 = identity_plan(n)
         stage2 = deterministic_sampling_two(z.T, np.eye(n), r)
     else:
-        stage1 = None
         for attempt in range(1 + STAGE1_RETRIES):
-            candidate = randomized_sampling(z.T, c, _child_seed(seed, 1 + attempt))
-            sig = singular_values(apply_plan(z.T, candidate))
-            if sig[0] > 0.0 and sig[k - 1] > RANK_TOL * sig[0]:
-                stage1 = candidate
+            stage1 = randomized_sampling(z.T, c, _child_seed(seed, 1 + attempt))
+            try:
+                narrowed = svd_top_k(apply_plan(z.T, stage1), k)
                 break
-        if stage1 is None:
+            except RankDeficiencyError:
+                continue
+        else:
             raise RankFailureError(
                 f"first-stage sample lost rank k={k} in {1 + STAGE1_RETRIES} attempts"
             )
-        narrowed = svd_top_k(apply_plan(z.T, stage1), k)
         stage2 = deterministic_sampling_two(narrowed.v.T, np.eye(c), r)
     plan = _compose(stage1, stage2)
     return FeatureSelection(

@@ -32,11 +32,28 @@ MAX_REPORTED_FAILURES = 20
 
 @dataclass(frozen=True)
 class Suite:
+    """A named property check.
+
+    ``runner(trials, seed)`` returns ``(results, aggregates, aggregate_ok)``:
+    one check dict per trial, plus the suite-wide statistics (None for a
+    per-seed suite) and whether they hold.  The suite passes when at least
+    ``required_fraction`` of the trials pass all their checks and
+    ``aggregate_ok`` holds.
+    """
+
     name: str
     description: str
     default_trials: int
     required_fraction: float
     runner: Callable
+
+
+def _per_seed(trial: Callable[[int], dict]) -> Callable:
+    # the runner of a suite whose trial t is trial(seed + t)
+    def runner(trials: int, seed: int):
+        return [trial(seed + t) for t in range(trials)], None, True
+
+    return runner
 
 
 def _orthonormal_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
@@ -45,13 +62,9 @@ def _orthonormal_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
 
 
 def _summarize(
-    name: str,
-    seed: int,
-    results: list[dict],
-    required_fraction: float,
-    aggregates: dict | None = None,
-    aggregate_ok: bool = True,
+    suite: Suite, seed: int, results: list[dict], aggregates: dict | None, aggregate_ok: bool
 ) -> dict:
+    required_fraction = suite.required_fraction
     trials = len(results)
     flags = [all(bool(v) for v in r.values()) for r in results]
     passed = sum(flags)
@@ -62,7 +75,7 @@ def _summarize(
         if not ok
     ][:MAX_REPORTED_FAILURES]
     summary = {
-        "suite": name,
+        "suite": suite.name,
         "trials": trials,
         "seed": seed,
         "passed": passed,
@@ -74,6 +87,7 @@ def _summarize(
     }
     if aggregates is not None:
         summary["aggregates"] = aggregates
+    summary["description"] = suite.description
     return summary
 
 
@@ -107,11 +121,6 @@ def sampler_one_trial(seed: int, m=100, n=200, k=5, r=20) -> dict:
     }
 
 
-def _suite_sampler_one(trials: int, seed: int) -> dict:
-    results = [sampler_one_trial(seed + t) for t in range(trials)]
-    return _summarize("sampler-one-bounds", seed, results, 1.0)
-
-
 def sampler_two_trial(seed: int, m=50, n=100, k=4, r=16) -> dict:
     """Both deterministic spectrally-capped sampler guarantees on one instance."""
     rng = np.random.default_rng(seed)
@@ -126,12 +135,7 @@ def sampler_two_trial(seed: int, m=50, n=100, k=4, r=16) -> dict:
     }
 
 
-def _suite_sampler_two(trials: int, seed: int) -> dict:
-    results = [sampler_two_trial(seed + t) for t in range(trials)]
-    return _summarize("sampler-two-bounds", seed, results, 1.0)
-
-
-def _suite_randomized_expectation(trials: int, seed: int) -> dict:
+def _suite_randomized_expectation(trials: int, seed: int) -> tuple:
     """Unbiasedness of the leverage-score sampler's squared Frobenius norm."""
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((10, 200))
@@ -145,14 +149,7 @@ def _suite_randomized_expectation(trials: int, seed: int) -> dict:
     ok = abs(mean_ratio - 1.0) <= 0.05
     # no per-trial criterion here: the claim is about the mean over seeds
     results = [{"completed": True} for _ in range(trials)]
-    return _summarize(
-        "randomized-expectation",
-        seed,
-        results,
-        1.0,
-        aggregates={"mean_ratio": mean_ratio, "tolerance": 0.05},
-        aggregate_ok=ok,
-    )
+    return results, {"mean_ratio": mean_ratio, "tolerance": 0.05}, ok
 
 
 def randomized_tail_trial(seed: int, v_rows: np.ndarray, r=240) -> dict:
@@ -163,11 +160,10 @@ def randomized_tail_trial(seed: int, v_rows: np.ndarray, r=240) -> dict:
     return {"tail": sig * sig >= floor}
 
 
-def _suite_randomized_tail(trials: int, seed: int) -> dict:
+def _suite_randomized_tail(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     v_rows = _orthonormal_rows(rng, 2, 200)
-    results = [randomized_tail_trial(seed + t, v_rows) for t in range(trials)]
-    return _summarize("randomized-sampling-tail", seed, results, 0.85)
+    return [randomized_tail_trial(seed + t, v_rows) for t in range(trials)], None, True
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +182,6 @@ def theorem1_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
     return {"bound": lhs <= rhs + CHECK_SLACK}
 
 
-def _suite_theorem1(trials: int, seed: int) -> dict:
-    results = [theorem1_trial(seed + t) for t in range(trials)]
-    return _summarize("theorem1-end-to-end", seed, results, 1.0)
-
-
 def theorem2_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
@@ -201,11 +192,6 @@ def theorem2_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
     return {"bound": lhs <= rhs + CHECK_SLACK}
 
 
-def _suite_theorem2(trials: int, seed: int) -> dict:
-    results = [theorem2_trial(seed + t) for t in range(trials)]
-    return _summarize("theorem2-end-to-end", seed, results, 1.0)
-
-
 def theorem3_trial(seed: int, m=12, n=300, k=2, r=6) -> dict:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
@@ -214,11 +200,6 @@ def theorem3_trial(seed: int, m=12, n=300, k=2, r=6) -> dict:
     lhs = objective(a, out)
     rhs = theorem3_factor(k, r, 1.0) * objective(a, brute_force_optimal(a, k))
     return {"bound": lhs <= rhs + CHECK_SLACK}
-
-
-def _suite_theorem3(trials: int, seed: int) -> dict:
-    results = [theorem3_trial(seed + t) for t in range(trials)]
-    return _summarize("theorem3-end-to-end", seed, results, 0.40)
 
 
 def structural_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
@@ -235,11 +216,6 @@ def structural_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
     out = brute_force_optimal(fs.reduced, k)
     report = structural_check(a, fs.basis, opt, out, fs.plan, 1.0)
     return {"applicable": report.context.get("applicable", False), "holds": report.holds}
-
-
-def _suite_structural(trials: int, seed: int) -> dict:
-    results = [structural_trial(seed + t) for t in range(trials)]
-    return _summarize("structural-lemma", seed, results, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +237,12 @@ def kmeans_oracle_trial(seed: int) -> dict:
     }
 
 
-def _suite_kmeans_oracle(trials: int, seed: int) -> dict:
+def _suite_kmeans_oracle(trials: int, seed: int) -> tuple:
     results = [kmeans_oracle_trial(seed + t) for t in range(trials)]
     # the optimum may be missed on a few instances, but must never be beaten
     below = sum(0 if r["never_below"] else 1 for r in results)
-    return _summarize(
-        "kmeans-oracle",
-        seed,
-        [{"matches_optimum": r["matches_optimum"]} for r in results],
-        0.95,
-        aggregates={"beaten_optimum": below},
-        aggregate_ok=below == 0,
-    )
+    scored = [{"matches_optimum": r["matches_optimum"]} for r in results]
+    return scored, {"beaten_optimum": below}, below == 0
 
 
 def _random_clustering(rng: np.random.Generator, m: int, k: int) -> Clustering:
@@ -299,12 +269,7 @@ def objective_identity_trial(seed: int) -> dict:
     return {"identity": abs(matrix_form - centroid_form) <= 1e-9 * max(1.0, matrix_form)}
 
 
-def _suite_objective_identity(trials: int, seed: int) -> dict:
-    results = [objective_identity_trial(seed + t) for t in range(trials)]
-    return _summarize("objective-identity", seed, results, 1.0)
-
-
-def _suite_approx_svd(trials: int, seed: int) -> dict:
+def _suite_approx_svd(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((50, 40))
     k = 5
@@ -320,14 +285,7 @@ def _suite_approx_svd(trials: int, seed: int) -> dict:
         total += float(np.square(e).sum())
         results.append({"orthonormal": ortho <= 1e-9, "residual_in_null_space": ez <= 1e-9})
     mean_ratio = total / trials / tail2
-    return _summarize(
-        "approx-svd-contract",
-        seed,
-        results,
-        1.0,
-        aggregates={"mean_residual_ratio": mean_ratio, "bound": 1.6},
-        aggregate_ok=mean_ratio <= 1.6,
-    )
+    return results, {"mean_residual_ratio": mean_ratio, "bound": 1.6}, mean_ratio <= 1.6
 
 
 SUITES: dict[str, Suite] = {
@@ -338,14 +296,14 @@ SUITES: dict[str, Suite] = {
             "spectral floor and Frobenius cap of the deterministic dual-set sampler",
             50,
             1.0,
-            _suite_sampler_one,
+            _per_seed(sampler_one_trial),
         ),
         Suite(
             "sampler-two-bounds",
             "spectral floor and spectral cap of the deterministic dual-set sampler",
             50,
             1.0,
-            _suite_sampler_two,
+            _per_seed(sampler_two_trial),
         ),
         Suite(
             "randomized-expectation",
@@ -366,28 +324,28 @@ SUITES: dict[str, Suite] = {
             "supervised selection guarantee with the exhaustive backend",
             100,
             1.0,
-            _suite_theorem1,
+            _per_seed(theorem1_trial),
         ),
         Suite(
             "theorem2-end-to-end",
             "unsupervised selection guarantee with the exhaustive backend",
             100,
             1.0,
-            _suite_theorem2,
+            _per_seed(theorem2_trial),
         ),
         Suite(
             "theorem3-end-to-end",
             "randomized selection guarantee (promised with probability 0.4)",
             200,
             0.40,
-            _suite_theorem3,
+            _per_seed(theorem3_trial),
         ),
         Suite(
             "structural-lemma",
             "structural inequality on pipeline-produced plans",
             100,
             1.0,
-            _suite_structural,
+            _per_seed(structural_trial),
         ),
         Suite(
             "kmeans-oracle",
@@ -401,7 +359,7 @@ SUITES: dict[str, Suite] = {
             "matrix and centroid forms of the clustering objective agree",
             1000,
             1.0,
-            _suite_objective_identity,
+            _per_seed(objective_identity_trial),
         ),
         Suite(
             "approx-svd-contract",
@@ -424,6 +382,4 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     n = suite.default_trials if trials is None else int(trials)
     if n < 1:
         raise ArgumentError(f"need at least one trial, got {n}")
-    summary = suite.runner(n, seed)
-    summary["description"] = suite.description
-    return summary
+    return _summarize(suite, seed, *suite.runner(n, seed))

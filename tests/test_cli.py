@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -35,9 +36,12 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
 
 def test_csv_header_handling(tmp_path):
     path = tmp_path / "h.csv"
-    path.write_text("f1,f2\n1.0,2.0\n3.0,4.0\n")
+    path.write_text("f1,f2\n1.0,2.0\n\n3.0,4.0\n")
     got = read_matrix_csv(path, has_header=True)
     np.testing.assert_array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
+    column = tmp_path / "c.csv"
+    column.write_text("f1\n1.5\n\n-2.0\n")
+    np.testing.assert_array_equal(read_matrix_csv(column, has_header=True), [[1.5], [-2.0]])
 
 
 def test_csv_rejects_ragged_and_text(tmp_path):
@@ -49,8 +53,21 @@ def test_csv_rejects_ragged_and_text(tmp_path):
         read_matrix_csv(ragged, has_header=False)
     bad = tmp_path / "b.csv"
     bad.write_text("1.0,apple\n")
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match="b.csv"):
         read_matrix_csv(bad, has_header=False)
+    noted = tmp_path / "n.csv"
+    noted.write_text("1.0,2.0 # note\n")
+    with pytest.raises(ArgumentError, match="n.csv"):
+        read_matrix_csv(noted, has_header=False)
+    empty = tmp_path / "e.csv"
+    empty.write_text("")
+    header_only = tmp_path / "h.csv"
+    header_only.write_text("f1,f2\n")
+    for path, has_header in [(empty, False), (empty, True), (header_only, True)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="no data rows"):
+                read_matrix_csv(path, has_header=has_header)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +206,17 @@ def test_cluster_report_shape(tmp_path, capsys):
     assert len(report["assignment"]) == 10
     assert min(report["assignment"]) >= 1
     assert report["objective"] >= 0.0
+
+
+def test_cluster_cost_beyond_float64_range_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("1e200\n1.1e200\n-1e200\n")
+    for backend in ("brute", "lloyd"):
+        code = run_cli("cluster", "--input", path, "--k", 2, "--backend", backend)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float64 range" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,25 @@ def test_objective_dimension_mismatch(rng):
         objective(rng.standard_normal((5, 2)), Clustering(4, 2, (1, 1, 2, 2)))
 
 
+def test_objective_beyond_float64_range_raises():
+    # the squares overflow but the cost is finite, zero, or truly too large
+    huge = [[1e200], [1.1e200], [-1e200]]
+    with pytest.raises(ContractViolationError, match="float64 range"):
+        objective(huge, Clustering(3, 2, (1, 1, 2)))
+    assert objective(huge, Clustering(3, 3, (1, 2, 3))) == 0.0
+    assert objective([[1e308], [1e308], [-1e308]], Clustering(3, 2, (1, 1, 2))) == 0.0
+    cost = objective([[1e150], [1.1e150], [-1e150]], Clustering(3, 2, (1, 1, 2)))
+    assert cost == pytest.approx(2 * 0.05e150**2, rel=1e-12)
+
+
+def test_objective_is_invariant_to_power_of_two_scaling(rng):
+    a = rng.standard_normal((30, 4)) * np.logspace(-3, 3, 4)
+    c = random_clustering(rng, 30, 3)
+    ref = objective(a, c)
+    for j in (-300, -40, 40, 300):
+        assert objective(np.ldexp(a, j), c) == np.ldexp(ref, 2 * j)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4), st.integers(0, 2**31))
 def test_objective_nonnegative_property(m, k, seed):
@@ -162,6 +181,17 @@ def test_kmeanspp_covers_separated_blobs():
         sides = {int(c[0] > 10.0) for c in centers}
         hits += len(sides) == 2
     assert hits >= 0.95 * trials
+
+
+def test_kmeanspp_draws_on_data_whose_squares_overflow():
+    a = np.array([[1e200], [1.1e200], [-1e200]])
+    _, e = _rescaled(a)
+    for seed in range(10):
+        centers = kmeanspp_init(a, 2, seed=seed)
+        # rows of the caller's matrix, the same draws as on the scaled data
+        assert {float(c) for c in centers[:, 0]} <= {1e200, 1.1e200, -1e200}
+        scaled = kmeanspp_init(np.ldexp(a, -e), 2, seed)
+        np.testing.assert_array_equal(centers, np.ldexp(scaled, e))
 
 
 def test_kmeanspp_argument_error(rng):

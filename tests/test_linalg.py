@@ -65,24 +65,49 @@ def test_svd_matches_gram_eigendecomposition_oracle(rng):
 
 
 def test_svd_matches_lapack_oracle(rng):
-    a = rng.standard_normal((7, 5))
-    top = svd_top_k(a, 3)
-    u, s, vt = np.linalg.svd(a)
-    np.testing.assert_allclose(top.s, s[:3], atol=1e-9)
-    # subspaces agree even if individual vector signs differ
-    np.testing.assert_allclose(
-        top.v @ top.v.T, vt[:3].T @ vt[:3], atol=1e-8
-    )
+    # tall and wide inputs take the two Gram orientations
+    for shape in [(7, 5), (5, 7)]:
+        a = rng.standard_normal(shape)
+        top = svd_top_k(a, 3)
+        u, s, vt = np.linalg.svd(a)
+        np.testing.assert_allclose(top.s, s[:3], atol=1e-9)
+        # subspaces agree even if individual vector signs differ
+        np.testing.assert_allclose(
+            top.v @ top.v.T, vt[:3].T @ vt[:3], atol=1e-8
+        )
+        np.testing.assert_allclose(
+            top.u @ top.u.T, u[:, :3] @ u[:, :3].T, atol=1e-8
+        )
 
 
 def test_svd_triplet_invariants(rng):
-    a = rng.standard_normal((8, 6))
-    top = svd_top_k(a, 4)
-    np.testing.assert_allclose(top.u.T @ top.u, np.eye(4), atol=1e-9)
-    np.testing.assert_allclose(top.v.T @ top.v, np.eye(4), atol=1e-9)
-    assert np.all(top.s > 0)
-    assert np.all(np.diff(top.s) <= 1e-12)
-    np.testing.assert_allclose(top.u * top.s, a @ top.v, atol=1e-9)
+    for shape in [(8, 6), (6, 8)]:
+        a = rng.standard_normal(shape)
+        top = svd_top_k(a, 4)
+        assert top.u.shape == (shape[0], 4) and top.v.shape == (shape[1], 4)
+        np.testing.assert_allclose(top.u.T @ top.u, np.eye(4), atol=1e-9)
+        np.testing.assert_allclose(top.v.T @ top.v, np.eye(4), atol=1e-9)
+        assert np.all(top.s > 0)
+        assert np.all(np.diff(top.s) <= 1e-12)
+        np.testing.assert_allclose(top.u * top.s, a @ top.v, atol=1e-9)
+        np.testing.assert_allclose(a.T @ top.u, top.v * top.s, atol=1e-9)
+
+
+def test_svd_rank_decision_is_the_gram_floor():
+    # diag(1, 1, t) inside an m x n zero matrix: sigma_3^2 = t^2 sits just
+    # above or just below the floor max(m, n) * eps, in both orientations
+    eps = np.finfo(float).eps
+    for m, n in [(9, 5), (5, 9), (3, 3)]:
+        for factor in (0.5, 0.999, 1.001, 2.0):
+            a = np.zeros((m, n))
+            a[:3, :3] = np.diag([1.0, 1.0, np.sqrt(factor * max(m, n) * eps)])
+            resolved = numerical_rank(a) == 3
+            assert resolved == (factor > 1.0)
+            if resolved:
+                assert svd_top_k(a, 3).s[2] > 0.0
+            else:
+                with pytest.raises(RankDeficiencyError):
+                    svd_top_k(a, 3)
 
 
 def test_svd_best_rank_k_beats_random_indicator_projections(rng):

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from kmselect import pipelines
 from kmselect.bounds import theorem1_factor, theorem2_factor, theorem3_factor
-from kmselect.errors import ArgumentError, RankDeficiencyError
+from kmselect.errors import ArgumentError, RankDeficiencyError, RankFailureError
 from kmselect.kmeans import Clustering, brute_force_optimal, objective
 from kmselect.linalg import sigma_k, spectral_norm
 from kmselect.pipelines import (
+    STAGE1_RETRIES,
     randomized_select,
     select_then_cluster,
     stage1_width,
     supervised_select,
     unsupervised_select,
 )
-from kmselect.sparsify import apply_plan
+from kmselect.sparsify import SamplingPlan, apply_plan
 
 
 def zero_error_dataset(rng, k=2, copies=4, n=6):
@@ -148,6 +150,48 @@ def test_randomized_two_stage_composition(rng):
     assert fs.plan.target_dim == 6
     np.testing.assert_array_equal(fs.reduced, apply_plan(a, fs.plan))
     assert all(w > 0 for w in fs.plan.weights)
+
+
+def _count_stage1_work(monkeypatch, deficient_draws):
+    # wrap the sampler so its first *deficient_draws* plans repeat one
+    # column (rank 1 < k), and count the draws and the top-k decompositions
+    sampling, svd = pipelines.randomized_sampling, pipelines.svd_top_k
+    seen = {"draws": 0, "svds": 0}
+
+    def fake_sampling(v_rows, c, seed):
+        plan = sampling(v_rows, c, seed)
+        seen["draws"] += 1
+        if seen["draws"] <= deficient_draws:
+            return SamplingPlan(plan.source_dim, c, (plan.indices[0],) * c, (1.0,) * c)
+        return plan
+
+    def counted_svd(a, k):
+        seen["svds"] += 1
+        return svd(a, k)
+
+    monkeypatch.setattr(pipelines, "randomized_sampling", fake_sampling)
+    monkeypatch.setattr(pipelines, "svd_top_k", counted_svd)
+    return seen
+
+
+def test_randomized_redraws_a_rank_deficient_first_stage(rng, monkeypatch):
+    a = rng.standard_normal((12, 300))
+    expected = randomized_select(a, 2, 6, seed=5)
+    seen = _count_stage1_work(monkeypatch, deficient_draws=1)
+    fs = randomized_select(a, 2, 6, seed=5)
+    # one decomposition per attempt: the accepted one drives stage two
+    assert seen == {"draws": 2, "svds": 2}
+    assert fs.stage1_size == 119
+    np.testing.assert_array_equal(fs.reduced, apply_plan(a, fs.plan))
+    assert fs.plan != expected.plan  # the second draw uses its own seed
+
+
+def test_randomized_rank_failure_after_all_retries(rng, monkeypatch):
+    a = rng.standard_normal((12, 300))
+    seen = _count_stage1_work(monkeypatch, deficient_draws=1 + STAGE1_RETRIES)
+    with pytest.raises(RankFailureError, match=f"in {1 + STAGE1_RETRIES} attempts"):
+        randomized_select(a, 2, 6, seed=5)
+    assert seen == {"draws": 1 + STAGE1_RETRIES, "svds": 1 + STAGE1_RETRIES}
 
 
 def test_randomized_bound_monte_carlo(rng):
