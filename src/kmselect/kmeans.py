@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError
-from .linalg import as_matrix
+from .linalg import _rescaled, as_matrix
 
 DEFAULT_MAX_ITER = 300
 DEFAULT_TOL = 1e-10
@@ -95,14 +95,6 @@ def _centroids(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     # k x n cluster means; every label in 0..k-1 must occur
     onehot = (labels[:, None] == np.arange(k)).astype(float)
     return (onehot.T @ a) / np.bincount(labels, minlength=k)[:, None]
-
-
-def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    # a * 2**-e with max |a| in [0.5, 1); exact for every entry that stays
-    # in the normal range, so squared distances scale by exactly 2**-2e;
-    # math.frexp on one scalar costs far less than the ufunc
-    e = math.frexp(float(np.abs(a).max()))[1]
-    return (np.ldexp(a, -e) if e else a), e
 
 
 def objective(a, c: Clustering) -> float:

@@ -1,17 +1,25 @@
 """Dense decompositions and norms used by every other module.
 
 All routines work on plain float64 numpy arrays.  Every singular value
-comes from the symmetric eigendecomposition of a Gram matrix ``B.T @ B``:
-one private solver, :func:`_gram_eigh`, serves the top-k triplets of
+comes from the symmetric eigendecomposition of a Gram matrix ``B.T @ B``,
+formed after multiplying ``B`` by the exact power of two that brings its
+largest magnitude into ``[0.5, 1)``: huge or tiny inputs neither overflow
+nor underflow, and at ordinary scales the scaling changes no bit.  One
+private solver, :func:`_gram_eigh`, serves the top-k triplets of
 :func:`svd_top_k` (on the smaller Gram matrix of ``A``) and the projected
 problem of :func:`approx_svd_z`, and :func:`singular_values` uses the same
-route without vectors.  One floor, in :func:`_floored_sigma`, zeroes the
-eigenvalues the Gram route cannot resolve, so "rank at least k" is always
-the single test ``sigma_k > 0``.
+route without vectors.  For :func:`svd_top_k` the solver first tries
+:func:`_top_eigh`, a Chebyshev-filtered subspace iteration from a fixed
+seed that returns only when every one of the top k Ritz pairs has a
+residual at the Gram route's own noise floor; otherwise the full dense
+``eigh`` runs, unchanged.  One floor, in :func:`_floored_sigma`, zeroes
+the eigenvalues the Gram route cannot resolve, so "rank at least k" is
+always the single test ``sigma_k > 0``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +27,12 @@ import numpy as np
 from .errors import ArgumentError, ContractViolationError, RankDeficiencyError
 
 _EPS = float(np.finfo(float).eps)
+# start block of _top_eigh: fixed, so identical inputs give identical plans
+_TOP_EIGH_SEED = 0
+# columns of the iterated block beyond the k wanted
+_TOP_EIGH_EXTRA = 10
+# degree of the Chebyshev filter applied between Rayleigh-Ritz steps
+_TOP_EIGH_DEGREE = 4
 
 
 def as_matrix(a) -> np.ndarray:
@@ -67,22 +81,108 @@ class SymEig:
         return int(self.values.size)
 
 
-def _floored_sigma(lam: np.ndarray, shape: tuple) -> np.ndarray:
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    # a * 2**-e with max |a| in [0.5, 1); exact for every entry that stays
+    # in the normal range, so products and squares scale by exact powers of
+    # two; max and min need no temporary, and math.frexp on one scalar
+    # costs far less than the ufunc
+    e = math.frexp(max(float(a.max()), -float(a.min())))[1]
+    return (np.ldexp(a, -e) if e else a), e
+
+
+def _floored_sigma(lam: np.ndarray, shape: tuple, e: int) -> np.ndarray:
     # Square roots of Gram eigenvalues *lam* (largest first) of a matrix of
-    # the given shape.  The Gram route computes sigma_i^2, whose rounding
-    # noise sits near max(m, n) * eps * sigma_1^2, so eigenvalues at or
-    # below that floor are zeroed and exact rank deficiency comes out as
-    # exact zeros.  Every value kept is above sqrt(eps) * sigma_1.
+    # the given shape scaled by 2**-e, returned at the matrix's own scale.
+    # The Gram route computes sigma_i^2, whose rounding noise sits near
+    # max(m, n) * eps * sigma_1^2, so eigenvalues at or below that floor
+    # are zeroed and exact rank deficiency comes out as exact zeros.  Every
+    # value kept is above sqrt(eps) * sigma_1.
     if lam[0] <= 0.0:
         return np.zeros(lam.size)
-    return np.sqrt(np.where(lam > max(shape) * _EPS * lam[0], lam, 0.0))
+    sig = np.sqrt(np.where(lam > max(shape) * _EPS * lam[0], lam, 0.0))
+    if math.frexp(float(sig[0]))[1] + e > 1024:
+        raise ContractViolationError("the singular values exceed the float64 range")
+    return np.ldexp(sig, e) if e else sig
 
 
-def _gram_eigh(b: np.ndarray, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _orth(a: np.ndarray) -> np.ndarray:
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+def _chebyshev(g: np.ndarray, x: np.ndarray, gx: np.ndarray, c: float) -> np.ndarray:
+    # T_d(2 g / c - I) x by the three-term recurrence, with the product
+    # gx = g @ x already taken: eigenvalues in [0, c] keep weight at most
+    # 1, and each one above c grows like exp(d * acosh(2 lambda / c - 1))
+    prev, cur = x, (2.0 / c) * gx - x
+    for _ in range(_TOP_EIGH_DEGREE - 1):
+        prev, cur = cur, (4.0 / c) * (g @ cur) - 2.0 * cur - prev
+    return cur
+
+
+def _top_eigh(g: np.ndarray, k: int, shape: tuple):
+    """Certified top-k eigenpairs of the Gram matrix *g*, or None.
+
+    Blocked subspace iteration with Rayleigh-Ritz (Halko, Martinsson and
+    Tropp, SIAM Review 2011) and a Chebyshev filter that damps ``[0, c]``,
+    ``c`` the smallest Ritz value of the block (Saad, Numerical Methods
+    for Large Eigenvalue Problems, 2011).  The block has ``k + 10``
+    columns and a Gaussian start from a fixed seed.  Returns the top k
+    Ritz values (largest first) and their orthonormal Ritz vectors only
+    when every pair has ``||g x - theta x|| <= max(m, n) * eps * theta_1``,
+    the floor of :func:`_floored_sigma`, which the dense ``eigh``'s
+    backward error also reaches.  Ritz values are lower bounds on the
+    eigenvalues, so a certified nonzero ``sigma_k`` still proves rank k.
+    Returns None, for the dense route, when the Gram side is below twice
+    the block width, when about ``p / (2 * block)`` products of *g* have
+    not certified or the estimated convergence rate says they will not,
+    and when the top Ritz value is not positive (zero or NaN input).
+    """
+    p = g.shape[0]
+    ell = k + _TOP_EIGH_EXTRA
+    budget = p // (2 * ell)
+    if budget < 1:
+        return None
+    rng = np.random.default_rng(_TOP_EIGH_SEED)
+    x = _orth(rng.standard_normal((p, ell)))
+    products = 0
+    while True:
+        gx = g @ x
+        products += 1
+        theta, w = np.linalg.eigh(x.T @ gx)
+        theta, w = theta[::-1], w[:, ::-1]
+        if not theta[0] > 0.0:
+            return None
+        floor = max(shape) * _EPS * theta[0]
+        vecs = x @ w[:, :k]
+        res = float(np.linalg.norm(gx @ w[:, :k] - vecs * theta[:k], axis=0).max())
+        if res <= floor:
+            return theta[:k], vecs
+        c = max(float(theta[-1]), floor)
+        t = 2.0 * float(theta[k - 1]) / c - 1.0
+        # Each filter product shrinks the slowest pair's error by about
+        # exp(-acosh(t)).  The first Ritz values come from a random block
+        # and say nothing about the gap, so the estimate waits one step.
+        if products + _TOP_EIGH_DEGREE > budget or (
+            products > 1
+            and (t <= 1.0 or products + math.log(res / floor) / math.acosh(t) > budget)
+        ):
+            return None
+        x = _orth(_chebyshev(g, x, gx, c))
+        products += _TOP_EIGH_DEGREE - 1
+
+
+def _gram_eigh(b: np.ndarray, shape: tuple, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     # Floored singular values of b and the eigenvectors of b.T @ b (the
-    # right singular vectors), largest first; *shape* sets the floor.
-    lam, vecs = np.linalg.eigh(b.T @ b)
-    return _floored_sigma(lam[::-1], shape), vecs[:, ::-1]
+    # right singular vectors), largest first; *shape* sets the floor.  With
+    # *k*, the top k only, from _top_eigh when it certifies them.
+    c, e = _rescaled(b)
+    g = c.T @ c
+    top = None if k is None else _top_eigh(g, k, shape)
+    if top is None:
+        lam, vecs = np.linalg.eigh(g)
+        top = lam[::-1], vecs[:, ::-1]
+    return _floored_sigma(top[0], shape, e), top[1]
 
 
 def singular_values(a) -> np.ndarray:
@@ -94,8 +194,9 @@ def singular_values(a) -> np.ndarray:
     """
     a = as_matrix(a)
     m, n = a.shape
-    gram = a.T @ a if n <= m else a @ a.T
-    return _floored_sigma(np.linalg.eigvalsh(gram)[::-1], a.shape)
+    c, e = _rescaled(a)
+    gram = c.T @ c if n <= m else c @ c.T
+    return _floored_sigma(np.linalg.eigvalsh(gram)[::-1], a.shape, e)
 
 
 def numerical_rank(a) -> int:
@@ -121,6 +222,14 @@ def svd_top_k(a, k: int) -> SvdTopK:
     ``a @ v @ v.T`` is the best rank-k approximation of *a* in Frobenius
     norm.  Raises :class:`RankDeficiencyError` when *k* exceeds the
     numerical rank of *a*.
+
+    The eigenpairs of the smaller Gram matrix come from a Chebyshev-filtered
+    subspace iteration with a fixed-seed start when it certifies them: every
+    Ritz pair's residual must reach the Gram route's floor
+    ``max(m, n) * eps * sigma_1^2``.  Without a spectral gap it gives up
+    after a bounded number of products, and the dense ``eigh`` runs
+    instead, with the same bits as a call that never tried.  Identical
+    inputs give identical outputs on either route.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -128,7 +237,7 @@ def svd_top_k(a, k: int) -> SvdTopK:
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
     # the smaller Gram matrix: of a's columns when tall, of its rows when wide
     b = a if n <= m else a.T
-    sig, vecs = _gram_eigh(b, a.shape)
+    sig, vecs = _gram_eigh(b, a.shape, k)
     if sig[k - 1] == 0.0:
         raise RankDeficiencyError(
             f"requested k={k} singular triplets but the numerical rank is lower"
@@ -180,11 +289,6 @@ def residual(a, z) -> np.ndarray:
             f"projection basis has {z.shape[0]} rows but the matrix has {a.shape[1]} columns"
         )
     return a - (a @ z) @ z.T
-
-
-def _orth(a: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(a)
-    return q
 
 
 def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:

@@ -308,17 +308,21 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
         ||q applied||_2          <=  1 + sqrt(ell2/r)
 
     When *q* is exactly the n x n identity (square, n nonzeros, unit
-    diagonal) it is recognised without any n x n product, skips the
-    orthonormality check it passes by construction, and the accumulator
-    stays diagonal, so the candidate scan runs in O(n) per iteration.  The
-    output is a pure function of the inputs.
+    diagonal) it is recognised without any n x n temporary, skips the
+    finiteness and orthonormality checks it passes by construction, and
+    the accumulator stays diagonal, so the candidate scan runs in O(n) per
+    iteration.  The output is a pure function of the inputs.
     """
     v_rows = as_matrix(v_rows)
-    q = as_matrix(q)
     k, n = v_rows.shape
+    q = np.asarray(q, dtype=float)
+    # n nonzeros, all of them unit diagonal entries: finite by construction,
+    # so the identity skips as_matrix's n x n finiteness mask
     identity = q.shape == (n, n) and np.count_nonzero(q) == n and np.all(q.diagonal() == 1.0)
-    if q.shape[1] != n:
-        raise ArgumentError(f"second set has {q.shape[1]} columns, expected {n}")
+    if not identity:
+        q = as_matrix(q)
+        if q.shape[1] != n:
+            raise ArgumentError(f"second set has {q.shape[1]} columns, expected {n}")
     _require_orthonormal_rows(v_rows, "v_rows")
     if not identity:
         _require_orthonormal_rows(q, "q")

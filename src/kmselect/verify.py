@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import theorem1_factor, theorem2_factor, theorem3_factor, structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
-from .linalg import approx_svd_z, frobenius_norm, residual, sigma_k, spectral_norm, svd_top_k
+from .linalg import approx_svd_z, frobenius_norm, residual, sigma_k, svd_top_k
 from .pipelines import randomized_select, supervised_select, unsupervised_select
 from .sparsify import (
     apply_plan,
@@ -128,7 +128,11 @@ def sampler_two_trial(seed: int, m=50, n=100, k=4, r=16) -> dict:
     top = svd_top_k(a, k)
     plan = deterministic_sampling_two(top.v.T, np.eye(n), r)
     sig = sigma_k(apply_plan(top.v.T, plan), k)
-    spec = spectral_norm(apply_plan(np.eye(n), plan))
+    # the columns of the sampled identity are weighted unit vectors,
+    # orthogonal across distinct indices: its Gram matrix is diagonal with
+    # the summed squared weights of each index
+    idx = np.asarray(plan.indices) - 1
+    spec = math.sqrt(float(np.bincount(idx, weights=np.square(plan.weights)).max()))
     return {
         "spectral_floor": sig >= 1.0 - math.sqrt(k / r) - CHECK_SLACK,
         "spectral_cap": spec <= 1.0 + math.sqrt(n / r) + CHECK_SLACK,

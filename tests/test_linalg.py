@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kmselect import linalg
 from kmselect.errors import ArgumentError, ContractViolationError, RankDeficiencyError
 from kmselect.linalg import (
     approx_svd_z,
@@ -138,6 +139,135 @@ def test_svd_k_out_of_range(rng):
         svd_top_k(rng.standard_normal((3, 3)), 4)
     with pytest.raises(ArgumentError):
         svd_top_k(rng.standard_normal((3, 3)), 0)
+
+
+def test_huge_and_tiny_inputs_give_values_or_a_typed_error(rng):
+    # the Gram matrix of the raw entries would overflow (1e200) or vanish
+    # (1e-200); the power-of-two rescale keeps both, and a singular value
+    # beyond the float64 range is a validation error, not a bare LinAlgError
+    a = rng.standard_normal((10, 8))
+    plain = singular_values(a)
+    top = svd_top_k(a, 3)
+    for scale in (1e200, 1e-200):
+        np.testing.assert_allclose(singular_values(a * scale), plain * scale, rtol=1e-12)
+        scaled = svd_top_k(a * scale, 3)
+        np.testing.assert_allclose(scaled.s, top.s * scale, rtol=1e-12)
+        np.testing.assert_allclose(scaled.v @ scaled.v.T, top.v @ top.v.T, atol=1e-12)
+        np.testing.assert_allclose(scaled.u @ scaled.u.T, top.u @ top.u.T, atol=1e-12)
+        z = approx_svd_z(a * scale, 3, 0.5, seed=0)
+        np.testing.assert_allclose(z.T @ z, np.eye(3), atol=1e-12)
+    huge = np.full((2, 2), 1e308)
+    for call in (lambda: singular_values(huge), lambda: svd_top_k(huge, 1)):
+        with pytest.raises(ContractViolationError, match="float64 range"):
+            call()
+
+
+def test_power_of_two_scaling_changes_no_bit(rng):
+    # the rescale is exact, so an input scaled by 2**j decomposes into the
+    # same bits, scaled by 2**j
+    for shape in [(9, 6), (6, 40)]:
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, size=shape[1])
+        top = svd_top_k(a, 3)
+        for j in (-300, -7, 5, 300):
+            b = np.ldexp(a, j)
+            np.testing.assert_array_equal(singular_values(b), np.ldexp(singular_values(a), j))
+            scaled = svd_top_k(b, 3)
+            np.testing.assert_array_equal(scaled.s, np.ldexp(top.s, j))
+            np.testing.assert_array_equal(scaled.u, top.u)
+            np.testing.assert_array_equal(scaled.v, top.v)
+
+
+# ---------------------------------------------------------------------------
+# the certified iterative route of svd_top_k
+# ---------------------------------------------------------------------------
+
+
+def _planted(rng, m, n, k, separation):
+    # m points around k centres on the first k coordinate axes, unit noise
+    centers = np.zeros((k, n))
+    centers[np.arange(k), np.arange(k)] = separation
+    return centers[np.arange(m) % k] + rng.standard_normal((m, n))
+
+
+def _spy_top_eigh(monkeypatch) -> list:
+    # records, per call, whether the iterative route certified
+    certified = []
+    solve = linalg._top_eigh
+
+    def spy(g, k, shape):
+        out = solve(g, k, shape)
+        certified.append(out is not None)
+        return out
+
+    monkeypatch.setattr(linalg, "_top_eigh", spy)
+    return certified
+
+
+def _dense_svd_top_k(a, k, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_top_eigh", lambda g, k, shape: None)
+        return svd_top_k(a, k)
+
+
+def test_iterative_route_certifies_a_planted_wide_input(rng, monkeypatch):
+    a = _planted(rng, 400, 1500, 5, 20.0)
+    # the certificate itself: every Ritz pair's residual at the Gram floor
+    c, _ = linalg._rescaled(a.T)
+    g = c.T @ c
+    lam, x = linalg._top_eigh(g, 5, a.shape)
+    floor = max(a.shape) * np.finfo(float).eps * lam[0]
+    assert np.all(np.linalg.norm(g @ x - x * lam, axis=0) <= floor)
+    np.testing.assert_allclose(x.T @ x, np.eye(5), atol=1e-13)
+    certified = _spy_top_eigh(monkeypatch)
+    top = svd_top_k(a, 5)
+    assert certified == [True]
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    np.testing.assert_allclose(top.s, s[:5], rtol=1e-12)
+    # subspace distance: the sine of the largest principal angle
+    ref = vt[:5].T
+    assert np.linalg.norm(ref - top.v @ (top.v.T @ ref), 2) <= 1e-10
+    np.testing.assert_allclose(top.u.T @ top.u, np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(a.T @ top.u, top.v * top.s, rtol=0, atol=1e-10 * s[0])
+    # a fixed internal seed: a second call gives the same bits
+    again = svd_top_k(a, 5)
+    for got, want in [(again.u, top.u), (again.s, top.s), (again.v, top.v)]:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_gapless_input_takes_the_dense_route_bit_for_bit(rng, monkeypatch):
+    a = rng.standard_normal((400, 1500))
+    certified = _spy_top_eigh(monkeypatch)
+    top = svd_top_k(a, 5)
+    assert certified == [False]
+    # the dense eigh of the rescaled Gram matrix, spelled out; signs follow
+    # v, so compare magnitudes
+    e = int(np.frexp(np.abs(a).max())[1])
+    c = np.ldexp(a, -e)
+    lam, vecs = np.linalg.eigh(c @ c.T)
+    np.testing.assert_array_equal(top.s, np.ldexp(np.sqrt(lam[::-1][:5]), e))
+    np.testing.assert_array_equal(np.abs(top.u), np.abs(vecs[:, ::-1][:, :5]))
+    dense = _dense_svd_top_k(a, 5, monkeypatch)
+    for got, want in [(top.u, dense.u), (top.s, dense.s), (top.v, dense.v)]:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("rank", [8, 10, 12])
+def test_iterative_route_makes_the_dense_rank_decision(rank, monkeypatch):
+    rng = np.random.default_rng(rank)
+    a = rng.standard_normal((600, rank)) @ rng.standard_normal((rank, 2000))
+
+    def has_rank_10(solve):
+        try:
+            solve(a, 10)
+        except RankDeficiencyError:
+            return False
+        return True
+
+    certified = _spy_top_eigh(monkeypatch)
+    decision = has_rank_10(svd_top_k)
+    assert certified == [True]
+    assert decision == has_rank_10(lambda a, k: _dense_svd_top_k(a, k, monkeypatch))
+    assert decision == (rank >= 10)
 
 
 # ---------------------------------------------------------------------------
