@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ContractViolationError
 from .kmeans import Clustering, indicator
-from .linalg import as_matrix, residual, singular_values
+from .linalg import _rescaled, as_matrix, residual, singular_values
 from .sparsify import SamplingPlan, apply_plan
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
@@ -48,6 +48,14 @@ def bound_report(name: str, lhs: float, rhs: float, factor: float, context: dict
     holds = bool(lhs <= rhs + COMPARISON_SLACK * max(1.0, rhs))
     return BoundReport(name=name, lhs=float(lhs), rhs=float(rhs),
                        factor=float(factor), holds=holds, context=dict(context))
+
+
+def _at_scale(x: float, e: int) -> float:
+    # a sum of squares of data multiplied by 2**-e, at the data's own scale
+    try:
+        return math.ldexp(x, 2 * e)
+    except OverflowError:
+        raise ContractViolationError("the bound's terms exceed the float64 range") from None
 
 
 def _check_gamma(gamma: float) -> None:
@@ -114,9 +122,14 @@ def structural_check(
     a gamma-approximate clustering of the reduced matrix.  Requires
     ``z.T omega s`` to have full rank k; otherwise the report is marked
     inapplicable (``context["applicable"] = False``, ``holds = False``).
+
+    Both sides are homogeneous of degree 2 in *a*: the verdict is taken on
+    *a* rescaled by the package's one scaling rule, and the sides are
+    reported at the caller's scale, or raise :class:`ContractViolationError`
+    beyond the float64 range.
     """
     _check_gamma(gamma)
-    a = as_matrix(a)
+    a, scale = _rescaled(as_matrix(a))
     z = as_matrix(z)
     m, n = a.shape
     k = z.shape[1]
@@ -126,32 +139,19 @@ def structural_check(
         raise ArgumentError(f"z must have orthonormal columns (deviation {zt_cols:.2e})")
     x_out = indicator(out_clust)
     lhs = float(np.square(a - x_out @ (x_out.T @ a)).sum())
-    context = {
-        "m": m,
-        "n": n,
-        "k": k,
-        "r": plan.target_dim,
-        "gamma": float(gamma),
-    }
+    context = {"m": m, "n": n, "k": k, "r": plan.target_dim, "gamma": float(gamma)}
     sig = singular_values(apply_plan(z.T, plan))
-    if sig.size < k or sig[k - 1] == 0.0:
-        return BoundReport(
-            name="structural-bound",
-            lhs=lhs,
-            rhs=float("nan"),
-            factor=float(gamma),
-            holds=False,
-            context={**context, "applicable": False},
+    applicable = bool(sig.size >= k and sig[k - 1] > 0.0)
+    rhs = float("nan")  # fails every comparison, so an inapplicable report never holds
+    if applicable:
+        x_in = indicator(in_clust)
+        sampled_in = apply_plan(a - x_in @ (x_in.T @ a), plan)
+        sampled_e = apply_plan(e, plan)
+        rhs = float(
+            np.square(e).sum()
+            + 2.0 * gamma * (np.square(sampled_in).sum() + np.square(sampled_e).sum())
+            / sig[k - 1] ** 2
         )
-    x_in = indicator(in_clust)
-    sampled_in = apply_plan(a - x_in @ (x_in.T @ a), plan)
-    sampled_e = apply_plan(e, plan)
-    rhs = float(
-        np.square(e).sum()
-        + 2.0
-        * gamma
-        * (np.square(sampled_in).sum() + np.square(sampled_e).sum())
-        / sig[k - 1] ** 2
-    )
-    report = bound_report("structural-bound", lhs, rhs, gamma, {**context, "applicable": True})
-    return report
+    context["applicable"] = applicable
+    report = bound_report("structural-bound", lhs, rhs, gamma, context)
+    return replace(report, lhs=_at_scale(lhs, scale), rhs=_at_scale(rhs, scale))

@@ -8,13 +8,14 @@ Cluster centroids come from one one-hot matmul kernel shared by the
 objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
 and an exhaustive optimal search for small instances.
 
-Both backends, k-means++ seeding and the objective first multiply the
-points by the exact power of two that brings their largest magnitude
-into ``[0.5, 1)``, so squared distances of huge or tiny data neither
-overflow nor underflow, and at ordinary scales the scaling alone changes
-no comparison and no value.  The exhaustive search also subtracts the
-column means and scores every labelling through the ``m x m`` Gram
-matrix ``g`` of the centred points, as
+Every public function validates its points and rescales them once by the
+package's one rule (``linalg._rescaled``), so squared distances of huge
+or tiny data neither overflow nor underflow, and the scaling alone
+changes no comparison and no value.  k-means++ and Lloyd are private
+kernels on the prepared points, and :func:`lloyd_best` ranks restarts by
+the cost its Lloyd kernel computed.  The exhaustive search also
+subtracts the column means and scores every labelling through the
+``m x m`` Gram matrix ``g`` of the centred points, as
 ``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
 number of columns, and an offset in the data changes the scores only by
 the rounding of the column means.
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError
 from .linalg import _rescaled, as_matrix
 
-DEFAULT_MAX_ITER = 300
+_MAX_ITER = 300
 DEFAULT_TOL = 1e-10
 BRUTE_FORCE_MAX_POINTS = 12
 _PARTITION_BATCH = 4096
@@ -120,22 +121,17 @@ def objective(a, c: Clustering) -> float:
         raise ContractViolationError("the clustering cost exceeds the float64 range") from None
 
 
-def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
-    """k-means++ seeding: k rows of *a*, returned as a k x n array.
-
-    The first centroid is uniform; each later one is drawn with probability
-    proportional to the squared distance to the nearest centroid so far.
-    When all residual distances vanish (duplicate data), the draw falls
-    back to uniform over the not-yet-chosen points, so ``k == m`` selects
-    every point exactly once.  Distances are taken on the rescaled points,
-    which leaves every draw as it is and keeps them finite on data whose
-    squares overflow.
-    """
+def _checked(a, k: int) -> np.ndarray:
     a = as_matrix(a)
     m = a.shape[0]
     if not 1 <= k <= m:
         raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
-    b = _rescaled(a)[0]
+    return a
+
+
+def _kmeanspp(b: np.ndarray, k: int, seed: int) -> np.ndarray:
+    # row indices of the k-means++ draws on prepared points b
+    m = b.shape[0]
     rng = np.random.default_rng(seed)
     chosen = np.empty(k, dtype=int)
     chosen[0] = rng.integers(m)
@@ -149,7 +145,22 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
             idx = int(rng.choice(remaining))
         chosen[j] = idx
         d2 = np.minimum(d2, np.square(b - b[idx]).sum(axis=1))
-    return a[chosen].copy()
+    return chosen
+
+
+def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
+    """k-means++ seeding: k rows of *a*, returned as a k x n array.
+
+    The first centroid is uniform; each later one is drawn with probability
+    proportional to the squared distance to the nearest centroid so far.
+    When all residual distances vanish (duplicate data), the draw falls
+    back to uniform over the not-yet-chosen points, so ``k == m`` selects
+    every point exactly once.  Distances are taken on the rescaled points,
+    which leaves every draw as it is and keeps them finite on data whose
+    squares overflow.
+    """
+    a = _checked(a, k)
+    return a[_kmeanspp(_rescaled(a)[0], k, seed)]
 
 
 def _assign(a: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,84 +185,72 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def lloyd(
-    a,
-    k: int,
-    init: np.ndarray | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    seed: int | None = None,
-) -> Clustering:
+def _lloyd(b: np.ndarray, k: int, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    # 0-based labels and their cost on prepared points b, the expression
+    # objective evaluates; tol is at b's scale
+    prev_obj, prev_labels = np.inf, None
+    for _ in range(_MAX_ITER):
+        labels, d2 = _assign(b, centroids)
+        labels = _repair_empty(labels, d2, k)
+        centroids = _centroids(b, labels, k)
+        obj = float(np.square(b - centroids[labels]).sum())
+        if prev_labels is not None:
+            assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj), (
+                f"objective increased: {prev_obj} -> {obj}"
+            )
+            if np.array_equal(labels, prev_labels) or prev_obj - obj < tol:
+                break
+        prev_obj, prev_labels = obj, labels
+    return labels, obj
+
+
+def _scaled_tol(tol: float, e: int) -> float:
+    # tol at the scale of points times 2**-e; saturates at inf, below which
+    # every decrease falls
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(tol, -2 * e))
+
+
+def lloyd(a, k: int, init: np.ndarray | None = None, tol: float = DEFAULT_TOL,
+          seed: int | None = None) -> Clustering:
     """Lloyd refinement from *init* centroids (k-means++ seeded if omitted).
 
-    Alternates assignment and centroid steps until the objective decrease
-    drops below *tol* or *max_iter* is reached.  The objective is
-    non-increasing across iterations; clusters emptied by an assignment
-    step are repaired by reseeding them with the point farthest from its
-    current centroid (taken from a cluster of size at least two).  The
-    points, *init* and *tol* are rescaled by one exact power of two first:
-    squared distances of huge or tiny data stay finite and non-zero, and
-    at ordinary scales every decision is the one made on the raw data.
+    Alternates assignment and centroid steps until the labels repeat, the
+    objective decrease drops below *tol*, or 300 iterations have run.  The
+    objective is non-increasing across iterations; clusters emptied by an
+    assignment step are repaired by reseeding them with the point farthest
+    from its current centroid (taken from a cluster of size at least two).
+    The points, *init* and *tol* are rescaled once by the package's one
+    scaling rule, so squared distances of huge or tiny data stay finite and
+    non-zero and every decision is the one made on the raw data; a *tol*
+    whose rescaled value overflows lets every decrease stop the run.
     """
-    a, e = _rescaled(as_matrix(a))
-    tol = float(np.ldexp(tol, -2 * e))
-    m = a.shape[0]
-    if not 1 <= k <= m:
-        raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
+    b, e = _rescaled(_checked(a, k))
     if init is None:
-        centroids = kmeanspp_init(a, k, 0 if seed is None else seed)
+        centroids = b[_kmeanspp(b, k, 0 if seed is None else seed)]
     else:
         centroids = np.ldexp(np.asarray(init, dtype=float), -e)
-        if centroids.shape != (k, a.shape[1]):
-            raise ArgumentError(
-                f"init must be a {k}x{a.shape[1]} array, got {centroids.shape}"
-            )
-    prev_obj = np.inf
-    prev_labels = None
-    labels = None
-    for _ in range(max_iter):
-        labels, d2 = _assign(a, centroids)
-        labels = _repair_empty(labels, d2, k)
-        centroids = _centroids(a, labels, k)
-        obj = float(np.square(a - centroids[labels]).sum())
-        assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0), (
-            f"objective increased: {prev_obj} -> {obj}"
-        )
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            break
-        if np.isfinite(prev_obj) and prev_obj - obj < tol:
-            break
-        prev_obj = obj
-        prev_labels = labels
-    return Clustering(m, k, tuple(int(x) + 1 for x in labels))
+        if centroids.shape != (k, b.shape[1]):
+            raise ArgumentError(f"init must be a {k}x{b.shape[1]} array, got {centroids.shape}")
+    labels, _ = _lloyd(b, k, centroids, _scaled_tol(tol, e))
+    return Clustering(b.shape[0], k, tuple(int(x) + 1 for x in labels))
 
 
-def lloyd_best(
-    a,
-    k: int,
-    restarts: int = 20,
-    seed: int | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> Clustering:
+def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Clustering:
     """Best of *restarts* seeded k-means++/Lloyd runs (ties keep the earliest).
 
-    The restarts run and are ranked on the points rescaled as in
-    :func:`lloyd`, so their costs stay finite and comparable.
+    Restart ``t`` is ``lloyd(a, k, seed=seed + t)``, run on points rescaled
+    once as in :func:`lloyd` and ranked by its final cost there, the value
+    :func:`objective` gives: costs stay finite and comparable.
     """
-    a, e = _rescaled(as_matrix(a))
-    tol = float(np.ldexp(tol, -2 * e))
+    b, e = _rescaled(_checked(a, k))
     if restarts < 1:
         raise ArgumentError(f"need at least one restart, got {restarts}")
     base = 0 if seed is None else seed
-    best = None
-    best_obj = np.inf
-    for t in range(restarts):
-        c = lloyd(a, k, init=None, max_iter=max_iter, tol=tol, seed=base + t)
-        obj = objective(a, c)
-        if obj < best_obj:
-            best, best_obj = c, obj
-    return best
+    tol = _scaled_tol(DEFAULT_TOL, e)
+    runs = (_lloyd(b, k, b[_kmeanspp(b, k, base + t)], tol) for t in range(restarts))
+    labels = min(runs, key=lambda run: run[1])[0]  # the first of equal costs wins
+    return Clustering(b.shape[0], k, tuple(int(x) + 1 for x in labels))
 
 
 def _partition_batches(m: int, k: int):
@@ -307,10 +306,8 @@ def brute_force_optimal(a, k: int) -> Clustering:
     exactly as it was; translating it changes them only by the rounding of
     the column means.  Ties keep the first partition in enumeration order.
     """
-    a = as_matrix(a)
+    a = _checked(a, k)
     m = a.shape[0]
-    if not 1 <= k <= m:
-        raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
     if m > BRUTE_FORCE_MAX_POINTS:
         raise ResourceLimitError(
             f"exhaustive search is limited to {BRUTE_FORCE_MAX_POINTS} points, got {m}"

@@ -1,20 +1,21 @@
 """Dense decompositions and norms used by every other module.
 
 All routines work on plain float64 numpy arrays.  Every singular value
-comes from the symmetric eigendecomposition of a Gram matrix ``B.T @ B``,
-formed after multiplying ``B`` by the exact power of two that brings its
-largest magnitude into ``[0.5, 1)``: huge or tiny inputs neither overflow
-nor underflow, and at ordinary scales the scaling changes no bit.  One
-private solver, :func:`_gram_eigh`, serves the top-k triplets of
-:func:`svd_top_k` (on the smaller Gram matrix of ``A``) and the projected
-problem of :func:`approx_svd_z`, and :func:`singular_values` uses the same
-route without vectors.  For :func:`svd_top_k` the solver first tries
-:func:`_top_eigh`, a Chebyshev-filtered subspace iteration from a fixed
-seed that returns only when every one of the top k Ritz pairs has a
-residual at the Gram route's own noise floor; otherwise the full dense
-``eigh`` runs, unchanged.  One floor, in :func:`_floored_sigma`, zeroes
-the eigenvalues the Gram route cannot resolve, so "rank at least k" is
-always the single test ``sigma_k > 0``.
+comes from the symmetric eigendecomposition of a Gram matrix ``B.T @ B``.
+:func:`_rescaled` is the package's one scaling rule for sums of squares:
+data whose largest magnitude lies outside ``[0.5, 2**222)`` is multiplied
+by the exact power of two that brings it into ``[0.5, 1)``, so huge or
+tiny inputs neither overflow nor underflow, and other data is used as it
+is, uncopied.  One private solver, :func:`_gram_eigh`, serves the top-k
+triplets of :func:`svd_top_k` (on the smaller Gram matrix of ``A``) and
+the projected problem of :func:`approx_svd_z`, and :func:`singular_values`
+uses the same route without vectors.  For :func:`svd_top_k` the solver
+first tries :func:`_top_eigh`, a Chebyshev-filtered subspace iteration
+from a fixed seed that returns only when every one of the top k Ritz pairs
+has a residual at the Gram route's own noise floor; otherwise the full
+dense ``eigh`` runs, unchanged.  One floor, in :func:`_floored_sigma`,
+zeroes the eigenvalues the Gram route cannot resolve, so "rank at least k"
+is always the single test ``sigma_k > 0``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ _TOP_EIGH_SEED = 0
 _TOP_EIGH_EXTRA = 10
 # degree of the Chebyshev filter applied between Rayleigh-Ritz steps
 _TOP_EIGH_DEGREE = 4
+# _rescaled leaves data with 0.5 <= max |a| < 2**_SAFE_EXP alone.  With
+# under 2**40 entries a Gram entry or eigenvalue stays below 2**(2*222+40),
+# under the 2**485 past which LAPACK's eigh rescales its input itself and
+# rounds differently; _top_eigh's squared residuals stay below 2**(4*222+82).
+_SAFE_EXP = 222
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,12 +88,12 @@ class SymEig:
 
 
 def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    # a * 2**-e with max |a| in [0.5, 1); exact for every entry that stays
-    # in the normal range, so products and squares scale by exact powers of
-    # two; max and min need no temporary, and math.frexp on one scalar
-    # costs far less than the ufunc
+    # (a * 2**-e, e), the one scaling rule for every sum of squares: *a*
+    # itself when the exponent e of max |a| lies in [0, _SAFE_EXP], else
+    # max |a| brought into [0.5, 1).  A power of two is exact on normal
+    # numbers, so products and squares, and every decision, scale exactly.
     e = math.frexp(max(float(a.max()), -float(a.min())))[1]
-    return (np.ldexp(a, -e) if e else a), e
+    return (a, 0) if 0 <= e <= _SAFE_EXP else (np.ldexp(a, -e), e)
 
 
 def _floored_sigma(lam: np.ndarray, shape: tuple, e: int) -> np.ndarray:
@@ -291,24 +297,23 @@ def residual(a, z) -> np.ndarray:
     return a - (a @ z) @ z.T
 
 
-def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
+def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
     """Randomized approximation of the top-k right singular subspace.
 
     Returns an n x k matrix ``z`` with orthonormal columns such that the
     residual ``e = a - a @ z @ z.T`` satisfies ``e @ z = 0`` exactly and,
-    in expectation over seeds, ``||e||_F^2 <= (1 + epsilon) * ||a - a_k||_F^2``.
+    in expectation over seeds, ``||e||_F^2 <= (1 + 1/2) * ||a - a_k||_F^2``,
+    the sketch accuracy Theorem 3 assumes.
 
     Uses Gaussian subspace iteration: a test matrix of width ``k + 10``,
     four power iterations with re-orthonormalization on every pass, then a
-    rank-k truncation of the projected problem.  The oversampling and
-    iteration counts comfortably over-deliver on the stated expectation
-    contract for any ``epsilon`` in (0, 1).  Raises :class:`ArgumentError`
-    when the k-th singular value of the sketch falls below the zero floor.
+    rank-k truncation of the projected problem; the oversampling and
+    iteration counts comfortably over-deliver on that contract.  Raises
+    :class:`RankDeficiencyError`, as :func:`svd_top_k` does, when the k-th
+    singular value of the sketch falls below the zero floor.
     """
     a = as_matrix(a)
     m, n = a.shape
-    if not 0.0 < epsilon < 1.0:
-        raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     if k < 2:
         raise ArgumentError(f"k must be at least 2, got {k}")
     if k > min(m, n):
@@ -322,7 +327,7 @@ def approx_svd_z(a, k: int, epsilon: float, seed: int) -> np.ndarray:
     w = _orth(a.T @ q)
     sig, vecs = _gram_eigh(a @ w, a.shape)
     if sig[k - 1] == 0.0:
-        raise ArgumentError(f"k={k} exceeds the numerical rank of the input")
+        raise RankDeficiencyError(f"k={k} exceeds the numerical rank of the input")
     z = w @ vecs[:, :k]
     _fix_signs(z)  # orient like svd_top_k; the residual is unaffected
     return z

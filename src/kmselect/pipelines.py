@@ -32,8 +32,6 @@ from .sparsify import (
     randomized_sampling,
 )
 
-# epsilon of the randomized sketch is pinned inside the randomized pipeline
-SKETCH_EPSILON = 0.5
 STAGE1_RETRIES = 3
 
 
@@ -162,7 +160,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     _, n = a.shape
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    z = approx_svd_z(a, k, SKETCH_EPSILON, _child_seed(seed, 0))
+    z = approx_svd_z(a, k, _child_seed(seed, 0))
     c = stage1_width(k, r)
     if c >= n:
         # the first stage would keep everything: use the identity plan and

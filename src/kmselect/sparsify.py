@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalSearchError
-from .linalg import as_matrix
+from .linalg import _rescaled, as_matrix
 
 ORTHO_TOL = 1e-8
 # Barrier crossings smaller than this (relative to the barrier magnitude)
@@ -287,13 +287,12 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     _require_orthonormal_rows(v_rows, "v_rows")
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    col_sq = np.square(b).sum(axis=0)
+    # the charges are ratios of squares: the one scaling rule keeps them
+    # finite at any scale, and exact wherever the squares stay normal
+    col_sq = np.square(_rescaled(b)[0]).sum(axis=0)
     fro2 = float(col_sq.sum())
-    if fro2 > 0.0:
-        # charges ||b_i||^2 / delta_B with delta_B = ||B||_F^2 / (1 - sqrt(k/r))
-        charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2)
-    else:
-        charges = np.zeros(n)
+    # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
+    charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq
     picked, t_vals = _dual_set_loop(v_rows, r, _FrobeniusUpper(charges))
     return _finish_plan(n, r, k, picked, t_vals)
 

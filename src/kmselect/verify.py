@@ -282,7 +282,7 @@ def _suite_approx_svd(trials: int, seed: int) -> tuple:
     results = []
     total = 0.0
     for t in range(trials):
-        z = approx_svd_z(a, k, 0.5, seed + t)
+        z = approx_svd_z(a, k, seed + t)
         ortho = float(np.abs(z.T @ z - np.eye(k)).max())
         e = a - (a @ z) @ z.T
         ez = float(np.abs(e @ z).max())

@@ -11,7 +11,7 @@ from kmselect.bounds import (
     theorem2_factor,
     theorem3_factor,
 )
-from kmselect.errors import ArgumentError
+from kmselect.errors import ArgumentError, ContractViolationError
 from kmselect.kmeans import Clustering, brute_force_optimal
 from kmselect.linalg import svd_top_k
 from kmselect.sparsify import SamplingPlan, apply_plan, identity_plan
@@ -186,6 +186,28 @@ def test_structural_inapplicable_when_rank_drops(rng):
     assert rep.context["applicable"] is False
     assert not rep.holds
     assert math.isnan(rep.rhs)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_structural_verdict_is_invariant_to_power_of_two_scaling(seed):
+    # out interleaves the two blobs, so it is no gamma-approximate clustering
+    # of the reduced matrix: at seed 7 the inequality fails, at seed 0 it holds
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((10, 8))
+    a[:5] += 4.0
+    fs = unsupervised_select(a, 2, 4)
+    opt = brute_force_optimal(a, 2)
+    out = Clustering(10, 2, (1, 2) * 5)
+    ref = structural_check(a, fs.basis, opt, out, fs.plan, 1.0)
+    assert ref.holds == (seed == 0)
+    for j in (-600, -300, 300):
+        rep = structural_check(np.ldexp(a, j), fs.basis, opt, out, fs.plan, 1.0)
+        assert rep.holds == ref.holds
+        # reported at the caller's scale, rounded once (to 0 at 2**-1200)
+        assert rep.lhs == math.ldexp(ref.lhs, 2 * j)
+        assert rep.rhs == math.ldexp(ref.rhs, 2 * j)
+    with pytest.raises(ContractViolationError, match="float64 range"):
+        structural_check(np.ldexp(a, 600), fs.basis, opt, out, fs.plan, 1.0)
 
 
 def test_structural_rejects_bad_basis(rng):

@@ -175,10 +175,12 @@ def test_select_missing_input_is_io_error(tmp_path):
 
 
 def test_select_rank_deficient_input_is_numerical_error(tmp_path):
-    # k = 1 noiseless blob: every row identical, so the matrix has rank 1
+    # k = 1 noiseless blob: every row identical, so the matrix has rank 1;
+    # the exact and the sketched subspace report it alike
     path, _ = synth(tmp_path, name="flat.csv", m=10, n=6, k=1, noise=0.0, seed=4)
-    assert run_cli("select", "--input", path, "--method", "unsupervised",
-                   "--k", 2, "--r", 4) == 2
+    for method in ("unsupervised", "randomized"):
+        assert run_cli("select", "--input", path, "--method", method,
+                       "--k", 2, "--r", 4) == 2
 
 
 def test_select_k_ge_r_message_names_precondition(tmp_path, capsys):

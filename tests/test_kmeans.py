@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,48 @@ def test_lloyd_decisions_are_invariant_to_power_of_two_scaling(rng):
         ref = lloyd(a, 4, seed=t, tol=3.0)
         for j in (-300, -40, 40, 300):
             assert lloyd(np.ldexp(a, j), 4, seed=t, tol=np.ldexp(3.0, 2 * j)) == ref
+
+
+def _first_cheapest_restart(a, k, restarts, seed, shift):
+    # the composition lloyd_best stands for: restart t is lloyd(seed + t), and
+    # the first of the cheapest by objective wins; objective is taken on the
+    # points times 2**shift, which ranks them alike and keeps 1e+-200 data
+    # from overflowing or underflowing the cost
+    runs = [lloyd(a, k, seed=seed + t) for t in range(restarts)]
+    costs = [objective(np.ldexp(a, shift), c) for c in runs]
+    return runs[int(np.argmin(costs))]
+
+
+def test_lloyd_best_is_the_first_cheapest_lloyd_restart():
+    cases = 0
+    for t in range(240):
+        local = np.random.default_rng(t)
+        m = int(local.integers(2, 16))
+        a = local.standard_normal((m, int(local.integers(1, 5))))
+        if t % 4 == 1:
+            a[m // 2:] = a[: m - m // 2]  # duplicate points
+        if t % 4 == 2:
+            a[:, :1] *= 1e-6
+        power = (0, 664, -664)[t % 3]  # about 1, 1e200 and 1e-200
+        k = m if t % 5 == 0 else int(local.integers(1, m + 1))
+        b = np.ldexp(a, power)
+        assert lloyd_best(b, k, restarts=4, seed=t) == _first_cheapest_restart(
+            b, k, 4, t, -power
+        )
+        cases += 1
+    assert cases >= 200
+
+
+def test_lloyd_emits_no_overflow_warning_on_tiny_data(rng):
+    # 2**-2e times the default tol passes the float64 range at this scale; it
+    # saturates, so every decrease counts as below it, as the overflow did
+    a = (rng.standard_normal((30, 3)) + rng.integers(0, 3, size=(30, 1))) * 1e-160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = lloyd(a, 3, seed=1)
+        assert lloyd(a, 3, seed=1, tol=np.inf) == c
+        best = lloyd_best(a, 3, restarts=5, seed=2)
+    assert best == _first_cheapest_restart(a, 3, 5, 2, 530)
 
 
 def test_lloyd_argument_errors(rng):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from kmselect import linalg
 from kmselect.errors import ArgumentError, ContractViolationError, RankDeficiencyError
+from kmselect.kmeans import lloyd_best, objective
 from kmselect.linalg import (
     approx_svd_z,
     as_matrix,
@@ -154,7 +158,7 @@ def test_huge_and_tiny_inputs_give_values_or_a_typed_error(rng):
         np.testing.assert_allclose(scaled.s, top.s * scale, rtol=1e-12)
         np.testing.assert_allclose(scaled.v @ scaled.v.T, top.v @ top.v.T, atol=1e-12)
         np.testing.assert_allclose(scaled.u @ scaled.u.T, top.u @ top.u.T, atol=1e-12)
-        z = approx_svd_z(a * scale, 3, 0.5, seed=0)
+        z = approx_svd_z(a * scale, 3, seed=0)
         np.testing.assert_allclose(z.T @ z, np.eye(3), atol=1e-12)
     huge = np.full((2, 2), 1e308)
     for call in (lambda: singular_values(huge), lambda: svd_top_k(huge, 1)):
@@ -175,6 +179,49 @@ def test_power_of_two_scaling_changes_no_bit(rng):
             np.testing.assert_array_equal(scaled.s, np.ldexp(top.s, j))
             np.testing.assert_array_equal(scaled.u, top.u)
             np.testing.assert_array_equal(scaled.v, top.v)
+
+
+def test_rescaled_returns_ordinary_data_uncopied(rng):
+    a = rng.standard_normal((9, 6)) * 1e3
+    c, e = linalg._rescaled(a)
+    assert c is a and e == 0
+    # at the window's edges, exponents 0 and W are used as they are and -1
+    # and W + 1 are scaled; every output moves by an exact power of two
+    w = linalg._SAFE_EXP
+    base = np.ldexp(a, -math.frexp(np.abs(a).max())[1])  # max |base| in [0.5, 1)
+    top, sig = svd_top_k(base, 3), singular_values(base)
+    z = approx_svd_z(base, 3, seed=0)
+    labels = lloyd_best(base, 3, restarts=3)
+    cost = objective(base, labels)
+    for j in (-1, 0, w, w + 1):
+        b = np.ldexp(base, j)
+        c, e = linalg._rescaled(b)
+        if 0 <= j <= w:
+            assert c is b and e == 0
+        else:
+            assert e == j
+            np.testing.assert_array_equal(c, base)
+        np.testing.assert_array_equal(singular_values(b), np.ldexp(sig, j))
+        scaled = svd_top_k(b, 3)
+        np.testing.assert_array_equal(scaled.s, np.ldexp(top.s, j))
+        np.testing.assert_array_equal(scaled.u, top.u)
+        np.testing.assert_array_equal(scaled.v, top.v)
+        np.testing.assert_array_equal(approx_svd_z(b, 3, seed=0), z)
+        assert lloyd_best(b, 3, restarts=3) == labels
+        assert objective(b, labels) == math.ldexp(cost, 2 * j)
+
+
+def test_svd_top_k_peak_memory_is_below_input_plus_gram(rng):
+    # ordinary data is not copied: the peak holds the Gram matrix and the
+    # eigensolver's work, but no second copy of the input
+    a = rng.standard_normal((400, 1500))
+    tracemalloc.start()
+    try:
+        svd_top_k(a, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes + 400 * 400 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +464,7 @@ def test_approx_svd_exact_low_rank(rng):
     u = rng.standard_normal((20, 3))
     v = rng.standard_normal((3, 15))
     a = u @ v  # rank 3 exactly
-    z = approx_svd_z(a, 3, 0.5, seed=0)
+    z = approx_svd_z(a, 3, seed=0)
     e = a - (a @ z) @ z.T
     assert np.linalg.norm(e) <= 1e-8
 
@@ -425,7 +472,7 @@ def test_approx_svd_exact_low_rank(rng):
 def test_approx_svd_hard_postconditions_any_seed(rng):
     a = rng.standard_normal((12, 9))
     for seed in range(10):
-        z = approx_svd_z(a, 3, 0.5, seed=seed)
+        z = approx_svd_z(a, 3, seed=seed)
         np.testing.assert_allclose(z.T @ z, np.eye(3), atol=1e-9)
         e = a - (a @ z) @ z.T
         assert np.abs(e @ z).max() <= 1e-9
@@ -438,7 +485,7 @@ def test_approx_svd_near_optimal_residual(rng):
     tail2 = float((s[k:] ** 2).sum())
     ratios = []
     for seed in range(20):
-        z = approx_svd_z(a, k, 0.5, seed=seed)
+        z = approx_svd_z(a, k, seed=seed)
         e = a - (a @ z) @ z.T
         ratios.append(float(np.square(e).sum()) / tail2)
     assert np.mean(ratios) <= 1.6
@@ -447,15 +494,13 @@ def test_approx_svd_near_optimal_residual(rng):
 def test_approx_svd_argument_errors(rng):
     a = rng.standard_normal((10, 6))
     with pytest.raises(ArgumentError):
-        approx_svd_z(a, 1, 0.5, seed=0)
-    with pytest.raises(ArgumentError):
-        approx_svd_z(a, 2, 1.5, seed=0)
+        approx_svd_z(a, 1, seed=0)
     low = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 6))
+    with pytest.raises(RankDeficiencyError):
+        approx_svd_z(low, 2, seed=0)
     with pytest.raises(ArgumentError):
-        approx_svd_z(low, 2, 0.5, seed=0)
-    with pytest.raises(ArgumentError):
-        approx_svd_z(a, 7, 0.5, seed=0)  # k > min(m, n)
+        approx_svd_z(a, 7, seed=0)  # k > min(m, n)
     noisy = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6))
     noisy += 1e-10 * rng.standard_normal((10, 6))
-    with pytest.raises(ArgumentError):
-        approx_svd_z(noisy, 3, 0.5, seed=0)
+    with pytest.raises(RankDeficiencyError):
+        approx_svd_z(noisy, 3, seed=0)

@@ -6,7 +6,7 @@ import pytest
 from kmselect import pipelines
 from kmselect.bounds import theorem1_factor, theorem2_factor, theorem3_factor
 from kmselect.errors import ArgumentError, RankDeficiencyError, RankFailureError
-from kmselect.kmeans import Clustering, brute_force_optimal, objective
+from kmselect.kmeans import Clustering, brute_force_optimal, lloyd_best, objective
 from kmselect.linalg import sigma_k, spectral_norm
 from kmselect.pipelines import (
     STAGE1_RETRIES,
@@ -53,6 +53,16 @@ def test_supervised_deterministic(rng):
     a = rng.standard_normal((9, 7))
     given = brute_force_optimal(a, 2)
     assert supervised_select(a, given, 2, 4).plan == supervised_select(a, given, 2, 4).plan
+
+
+def test_supervised_plan_is_invariant_to_power_of_two_scaling():
+    # the Frobenius charges are ratios of squares: unscaled, those squares
+    # overflow beyond about 2**512 and lose bits below about 2**-512
+    a = np.random.default_rng(0).standard_normal((40, 30))
+    given = lloyd_best(a, 3)
+    ref = supervised_select(a, given, 3, 10).plan
+    for j in (-600, -540, -520, -400, 400, 520, 600):
+        assert supervised_select(np.ldexp(a, j), given, 3, 10).plan == ref
 
 
 def test_supervised_argument_errors(rng):
