@@ -4,8 +4,9 @@ The clustering objective is computed as the centroid sum
 ``sum_i ||p_i - mu(p_i)||^2``; it equals the matrix form
 ``||A - X X.T A||_F^2`` through the scaled indicator matrix ``X``, an
 identity the tests and the ``objective-identity`` verify suite check.
-Cluster centroids come from one one-hot matmul kernel shared by the
-objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
+Cluster centroids come from one one-hot matmul kernel, and costs from
+one kernel that works in a single m x n scratch array, both shared by
+the objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
 and an exhaustive optimal search for small instances.
 
 Every public function validates its points and rescales them once by the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,14 +100,24 @@ def _centroids(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return (onehot.T @ a) / np.bincount(labels, minlength=k)[:, None]
 
 
+def _cost(b: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> float:
+    # sum_i ||b_i - centroids[labels_i]||^2, the value and rounding of
+    # np.square(b - centroids[labels]).sum(): gather, difference and squares
+    # all go into the C-ordered m x n scratch *out*.  take's default mode
+    # would buffer its output; the labels are in range, so 'clip' is a no-op
+    np.take(centroids, labels, axis=0, out=out, mode="clip")
+    np.subtract(b, out, out=out)
+    return float(np.square(out, out=out).sum())
+
+
 def objective(a, c: Clustering) -> float:
     """k-means cost of clustering the rows of *a* with *c*.
 
     Computed as the sum of squared distances of points to their cluster
     centroids; equal to ``||a - x @ x.T @ a||_F^2`` for the indicator
-    matrix ``x``.  The sum is taken on the rescaled points and scaled back
-    exactly; a cost beyond the float64 range raises
-    :class:`ContractViolationError`.
+    matrix ``x``.  The sum is taken on the rescaled points, in one m x n
+    scratch array, and scaled back exactly; a cost beyond the float64
+    range raises :class:`ContractViolationError`.
     """
     a = as_matrix(a)
     if a.shape[0] != c.num_points:
@@ -116,7 +128,7 @@ def objective(a, c: Clustering) -> float:
     b, e = _rescaled(a)
     centroids = _centroids(b, labels, c.num_clusters)
     try:
-        return math.ldexp(float(np.square(b - centroids[labels]).sum()), 2 * e)
+        return math.ldexp(_cost(b, centroids, labels, np.empty(b.shape)), 2 * e)
     except OverflowError:
         raise ContractViolationError("the clustering cost exceeds the float64 range") from None
 
@@ -163,13 +175,22 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
     return a[_kmeanspp(_rescaled(a)[0], k, seed)]
 
 
-def _assign(a: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Points(NamedTuple):
+    # prepared points b with what every Lloyd step reuses: squared row
+    # norms, 2 b for the cross term, and the m x n scratch of _cost
+    b: np.ndarray
+    sq: np.ndarray
+    twice: np.ndarray
+    scratch: np.ndarray
+
+
+def _points(b: np.ndarray) -> _Points:
+    return _Points(b, np.square(b).sum(axis=1), 2.0 * b, np.empty(b.shape))
+
+
+def _assign(p: _Points, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # squared distances m x k; argmin breaks ties toward the smallest index
-    d2 = (
-        np.square(a).sum(axis=1)[:, None]
-        - 2.0 * a @ centroids.T
-        + np.square(centroids).sum(axis=1)[None, :]
-    )
+    d2 = p.sq[:, None] - p.twice @ centroids.T + np.square(centroids).sum(axis=1)[None, :]
     return d2.argmin(axis=1), d2
 
 
@@ -185,15 +206,15 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _lloyd(b: np.ndarray, k: int, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    # 0-based labels and their cost on prepared points b, the expression
-    # objective evaluates; tol is at b's scale
+def _lloyd(p: _Points, k: int, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    # 0-based labels and their cost on prepared points, by the kernel
+    # objective uses; tol is at the scale of p.b
     prev_obj, prev_labels = np.inf, None
     for _ in range(_MAX_ITER):
-        labels, d2 = _assign(b, centroids)
+        labels, d2 = _assign(p, centroids)
         labels = _repair_empty(labels, d2, k)
-        centroids = _centroids(b, labels, k)
-        obj = float(np.square(b - centroids[labels]).sum())
+        centroids = _centroids(p.b, labels, k)
+        obj = _cost(p.b, centroids, labels, p.scratch)
         if prev_labels is not None:
             assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj), (
                 f"objective increased: {prev_obj} -> {obj}"
@@ -232,7 +253,7 @@ def lloyd(a, k: int, init: np.ndarray | None = None, tol: float = DEFAULT_TOL,
         centroids = np.ldexp(np.asarray(init, dtype=float), -e)
         if centroids.shape != (k, b.shape[1]):
             raise ArgumentError(f"init must be a {k}x{b.shape[1]} array, got {centroids.shape}")
-    labels, _ = _lloyd(b, k, centroids, _scaled_tol(tol, e))
+    labels, _ = _lloyd(_points(b), k, centroids, _scaled_tol(tol, e))
     return Clustering(b.shape[0], k, tuple(int(x) + 1 for x in labels))
 
 
@@ -248,7 +269,8 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
         raise ArgumentError(f"need at least one restart, got {restarts}")
     base = 0 if seed is None else seed
     tol = _scaled_tol(DEFAULT_TOL, e)
-    runs = (_lloyd(b, k, b[_kmeanspp(b, k, base + t)], tol) for t in range(restarts))
+    p = _points(b)
+    runs = (_lloyd(p, k, b[_kmeanspp(b, k, base + t)], tol) for t in range(restarts))
     labels = min(runs, key=lambda run: run[1])[0]  # the first of equal costs wins
     return Clustering(b.shape[0], k, tuple(int(x) + 1 for x in labels))
 
@@ -261,11 +283,30 @@ def _partition_batches(m: int, k: int):
     strings are grown one position at a time: every prefix is extended by
     each label up to one past its largest (capped at ``k - 1``), and a
     prefix is dropped once its blocks plus the positions left fall short
-    of ``k``.
+    of ``k``.  The prefixes are grown depth first, at most
+    ``_PARTITION_BATCH`` of one length at a time, so memory stays bounded
+    however many strings there are.
     """
-    prefixes = np.zeros((1, 1), dtype=np.int8)
-    used = np.ones(1, dtype=np.int8)
-    for i in range(1, m):
+    pending = np.empty((0, m), dtype=np.int8)
+    for strings in _expand(np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8), m, k):
+        pending = np.vstack([pending, strings])
+        while pending.shape[0] >= _PARTITION_BATCH:
+            yield pending[:_PARTITION_BATCH]
+            pending = pending[_PARTITION_BATCH:]
+    if pending.shape[0]:
+        yield pending
+
+
+def _expand(prefixes: np.ndarray, used: np.ndarray, m: int, k: int):
+    # the complete strings below *prefixes* (with *used* blocks each), in
+    # order; a frontier of more than _PARTITION_BATCH prefixes is split
+    # into chunks of that many, each grown to full length before the next
+    for i in range(prefixes.shape[1], m):
+        if used.size > _PARTITION_BATCH:
+            for start in range(0, used.size, _PARTITION_BATCH):
+                stop = start + _PARTITION_BATCH
+                yield from _expand(prefixes[start:stop], used[start:stop], m, k)
+            return
         counts = np.minimum(used, k - 1) + 1
         parent = np.repeat(np.arange(used.size), counts)
         starts = np.cumsum(counts) - counts
@@ -275,9 +316,7 @@ def _partition_batches(m: int, k: int):
         keep = used + (m - 1 - i) >= k
         prefixes = np.hstack([prefixes[parent[keep]], labels[keep, None]])
         used = used[keep]
-    prefixes = prefixes[used == k]
-    for start in range(0, prefixes.shape[0], _PARTITION_BATCH):
-        yield prefixes[start:start + _PARTITION_BATCH]
+    yield prefixes[used == k]
 
 
 def _centred_gram(a: np.ndarray) -> np.ndarray:
@@ -287,11 +326,19 @@ def _centred_gram(a: np.ndarray) -> np.ndarray:
     return c @ c.T
 
 
-def _batch_objectives(g: np.ndarray, label_batch: np.ndarray, k: int) -> np.ndarray:
+def _batch_objectives(g: np.ndarray, label_batch: np.ndarray, k: int,
+                      scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     # cost of each labelling: trace(g) minus the between-cluster energy
-    # sum_c 1_c.T g 1_c / |c|, from one batched (p, k, m) @ (m, m) matmul
-    onehot = (label_batch[:, None, :] == np.arange(k)[:, None]).astype(float)
-    between = ((onehot @ g) * onehot).sum(axis=2) / onehot.sum(axis=2)
+    # sum_c 1_c.T g 1_c / |c|, from one batched (p, k, m) @ (m, m) matmul.
+    # *scratch*, two (at least p, k, m) float arrays, is reused across the
+    # batches of one search: megabyte temporaries allocated afresh for every
+    # batch are faulted in afresh too, which made a streamed 12-point search
+    # about 60% slower
+    p = label_batch.shape[0]
+    onehot, prod = scratch[0][:p], scratch[1][:p]
+    np.equal(label_batch[:, None, :], np.arange(k)[:, None], out=onehot)
+    np.matmul(onehot, g, out=prod)
+    between = np.multiply(prod, onehot, out=prod).sum(axis=2) / onehot.sum(axis=2)
     return np.trace(g) - between.sum(axis=1)
 
 
@@ -313,10 +360,13 @@ def brute_force_optimal(a, k: int) -> Clustering:
             f"exhaustive search is limited to {BRUTE_FORCE_MAX_POINTS} points, got {m}"
         )
     g = _centred_gram(a)
+    scratch = None
     best_labels = None
     best_obj = np.inf
     for batch in _partition_batches(m, k):
-        objs = _batch_objectives(g, batch, k)
+        if scratch is None:  # sized by the first batch, the largest
+            scratch = np.empty((batch.shape[0], k, m)), np.empty((batch.shape[0], k, m))
+        objs = _batch_objectives(g, batch, k, scratch)
         j = int(objs.argmin())
         if objs[j] < best_obj:
             best_obj = float(objs[j])

@@ -269,8 +269,17 @@ def sym_eig(m) -> SymEig:
 
 
 def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(a)))
+    """Square root of the sum of squared entries.
+
+    The sum is taken on the rescaled entries and scaled back exactly, so
+    huge or tiny data neither overflows nor underflows; a norm beyond the
+    float64 range raises :class:`ContractViolationError`.
+    """
+    c, e = _rescaled(as_matrix(a))
+    try:
+        return math.ldexp(float(np.linalg.norm(c)), e)
+    except OverflowError:
+        raise ContractViolationError("the Frobenius norm exceeds the float64 range") from None
 
 
 def spectral_norm(a) -> float:
@@ -286,6 +295,14 @@ def sigma_k(a, k: int) -> float:
     return float(s[k - 1])
 
 
+def _minus_product(a: np.ndarray, left, right, out: np.ndarray) -> np.ndarray:
+    # a - left @ right, the expression of every projection residual, written
+    # into out (C-ordered, the shape of a, not overlapping it): the product
+    # lands in out and a is subtracted there, so no other m x n temporary
+    np.matmul(left, right, out=out)
+    return np.subtract(a, out, out=out)
+
+
 def residual(a, z) -> np.ndarray:
     """Residual ``a - a @ z @ z.T`` of projecting the rows of *a* onto ``span(z)``."""
     a = as_matrix(a)
@@ -294,7 +311,7 @@ def residual(a, z) -> np.ndarray:
         raise ArgumentError(
             f"projection basis has {z.shape[0]} rows but the matrix has {a.shape[1]} columns"
         )
-    return a - (a @ z) @ z.T
+    return _minus_product(a, a @ z, z.T, np.empty(a.shape))
 
 
 def approx_svd_z(a, k: int, seed: int) -> np.ndarray:

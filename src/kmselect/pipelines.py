@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import bound_report, theorem1_factor, theorem2_factor, theorem3_factor
 from .errors import ArgumentError, RankDeficiencyError, RankFailureError
 from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
-from .linalg import approx_svd_z, as_matrix, residual, svd_top_k
+from .linalg import _minus_product, approx_svd_z, as_matrix, svd_top_k
 from .sparsify import (
     SamplingPlan,
     apply_plan,
@@ -72,13 +72,25 @@ def _validate_window(k: int, r: int, n: int) -> None:
         raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
 
 
+def _stacked_residual(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
+    # [a - a v v.T ; a - x x.T a], x the indicator of *given*: the 2m x n
+    # second set of supervised selection, each half written in place
+    m = a.shape[0]
+    stacked = np.empty((2 * m, a.shape[1]))
+    _minus_product(a, a @ v, v.T, stacked[:m])
+    x = indicator(given)
+    _minus_product(a, x, x.T @ a, stacked[m:])
+    return stacked
+
+
 def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     """Deterministically select r columns that preserve a given clustering.
 
     Stacks the low-rank residual of *a* on top of the clustering residual
     of *given* and runs the Frobenius-capped dual-set sampler against the
     top-k right singular subspace.  Identical inputs give an identical
-    plan.
+    plan.  Beyond the top-k solve, the call holds the 2m x n stacked
+    residual, built in place, and O(n) scratch for the sampler's charges.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -92,11 +104,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
             f"clustering has {given.num_clusters} clusters, expected k={k}"
         )
     top = svd_top_k(a, k)
-    low_rank_residual = residual(a, top.v)
-    x = indicator(given)
-    cluster_residual = a - x @ (x.T @ a)
-    stacked = np.vstack([low_rank_residual, cluster_residual])
-    plan = deterministic_sampling_one(top.v.T, stacked, r)
+    plan = deterministic_sampling_one(top.v.T, _stacked_residual(a, top.v, given), r)
     return FeatureSelection(
         plan=plan, reduced=apply_plan(a, plan), method="supervised", k=k, r=r,
         basis=top.v,

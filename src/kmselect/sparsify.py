@@ -29,6 +29,8 @@ from .errors import ArgumentError, NumericalSearchError
 from .linalg import _rescaled, as_matrix
 
 ORTHO_TOL = 1e-8
+# rows of b squared at a time for the sampler-one charges
+_CHARGE_ROWS = 64
 # Barrier crossings smaller than this (relative to the barrier magnitude)
 # are attributed to roundoff and tolerated.
 BARRIER_SLACK = 1e-9
@@ -265,6 +267,23 @@ def _finish_plan(n: int, r: int, k: int, picked: np.ndarray, t_vals: np.ndarray)
     )
 
 
+def _column_sq_norms(c: np.ndarray) -> np.ndarray:
+    # np.square(c).sum(axis=0), bit for bit, in O(n) scratch.  numpy adds
+    # the rows of a C-ordered matrix of two or more columns one after
+    # another, so blocks of rows are squared into a buffer whose first row
+    # carries the running sum.  It sums a single column, or the columns of
+    # other layouts, pairwise: those take the whole-matrix expression.
+    m, n = c.shape
+    if n == 1 or not c.flags.c_contiguous:
+        return np.square(c).sum(axis=0)
+    buf = np.zeros((_CHARGE_ROWS + 1, n))
+    for start in range(0, m, _CHARGE_ROWS):
+        block = c[start:start + _CHARGE_ROWS]
+        np.square(block, out=buf[1:1 + block.shape[0]])
+        buf[0] = np.add.reduce(buf[:1 + block.shape[0]], axis=0)
+    return buf[0].copy()
+
+
 def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     """Deterministic dual-set selection with a Frobenius cap on *b*.
 
@@ -275,7 +294,9 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
         ||b applied||_F          <=  ||b||_F
 
     where "applied" means gathering and rescaling columns with the plan.
-    The output is a pure function of the inputs.
+    Only the squared column norms of *b* reach the sampler; they are summed
+    over blocks of rows, so a C-ordered *b* costs O(n) scratch.  The output
+    is a pure function of the inputs.
     """
     v_rows = as_matrix(v_rows)
     b = as_matrix(b)
@@ -289,7 +310,7 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
     # the charges are ratios of squares: the one scaling rule keeps them
     # finite at any scale, and exact wherever the squares stay normal
-    col_sq = np.square(_rescaled(b)[0]).sum(axis=0)
+    col_sq = _column_sq_norms(_rescaled(b)[0])
     fro2 = float(col_sq.sum())
     # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
     charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq

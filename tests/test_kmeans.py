@@ -200,6 +200,19 @@ def test_kmeanspp_argument_error(rng):
         kmeanspp_init(rng.standard_normal((3, 2)), 4, seed=0)
 
 
+def test_objective_takes_one_scratch_array(rng):
+    # gather, difference and squares share one m x n array
+    a = rng.standard_normal((400, 300))
+    c = random_clustering(rng, 400, 5)
+    tracemalloc.start()
+    try:
+        objective(a, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * a.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Lloyd refinement
 # ---------------------------------------------------------------------------
@@ -398,7 +411,8 @@ def test_gram_scores_equal_objective_for_every_labelling(rng):
             total = objective(a, Clustering(m, 1, (1,) * m))
             for k in range(1, m + 1):
                 for batch in _partition_batches(m, k):
-                    scores = np.ldexp(_batch_objectives(g, batch, k), 2 * e)
+                    scratch = np.empty((batch.shape[0], k, m)), np.empty((batch.shape[0], k, m))
+                    scores = np.ldexp(_batch_objectives(g, batch, k, scratch), 2 * e)
                     exact = [objective(a, Clustering(m, k, tuple(row + 1))) for row in batch]
                     np.testing.assert_allclose(scores, exact, rtol=0, atol=1e-12 * total)
 
@@ -416,6 +430,12 @@ def test_brute_force_memory_does_not_grow_with_columns(rng):
     narrow = _brute_force_peak_bytes(rng.standard_normal((12, 30)), 4)
     wide = _brute_force_peak_bytes(rng.standard_normal((12, 3000)), 4)
     assert wide < 2 * narrow
+
+
+def test_brute_force_memory_is_bounded_by_the_batch(rng):
+    # S(12, 5) = 1,379,400 labellings: the enumeration is streamed, so
+    # memory is bounded by _PARTITION_BATCH, not by the Stirling number
+    assert _brute_force_peak_bytes(rng.standard_normal((12, 3)), 5) < 16 * 2**20
 
 
 def test_brute_force_enumeration_guard(rng):

@@ -364,6 +364,25 @@ def test_frobenius_zero():
     assert frobenius_norm(np.zeros((3, 2))) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_frobenius_of_data_whose_squares_overflow_or_underflow(rng, scale):
+    # unscaled squares give inf (with an overflow warning) at 1e200 and 0.0
+    # at 1e-200; the rescaled sum is the scaled norm
+    a = rng.standard_normal((4, 3))
+    assert frobenius_norm(a * scale) == pytest.approx(frobenius_norm(a) * scale, rel=1e-14, abs=0)
+
+
+def test_frobenius_is_unchanged_on_ordinary_data(rng):
+    for scale in (1e-3, 1.0, 1e60):
+        a = rng.standard_normal((30, 20)) * scale
+        assert frobenius_norm(a) == float(np.linalg.norm(a))
+
+
+def test_frobenius_beyond_the_float64_range_is_a_contract_violation():
+    with pytest.raises(ContractViolationError, match="float64 range"):
+        frobenius_norm(np.full((4, 4), 1.5e308))
+
+
 def test_frobenius_equals_singular_value_energy(rng):
     a = rng.standard_normal((5, 4))
     s = np.linalg.svd(a, compute_uv=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from kmselect import pipelines
 from kmselect.bounds import theorem1_factor, theorem2_factor, theorem3_factor
 from kmselect.errors import ArgumentError, RankDeficiencyError, RankFailureError
-from kmselect.kmeans import Clustering, brute_force_optimal, lloyd_best, objective
-from kmselect.linalg import sigma_k, spectral_norm
+from kmselect.kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
+from kmselect.linalg import residual, sigma_k, spectral_norm, svd_top_k
 from kmselect.pipelines import (
     STAGE1_RETRIES,
     randomized_select,
@@ -29,6 +30,29 @@ def zero_error_dataset(rng, k=2, copies=4, n=6):
 # ---------------------------------------------------------------------------
 # supervised pipeline
 # ---------------------------------------------------------------------------
+
+
+def test_stacked_residual_is_the_two_residuals_bit_for_bit(rng):
+    a = rng.standard_normal((40, 25))
+    given = lloyd_best(a, 3, restarts=2, seed=0)
+    v = svd_top_k(a, 3).v
+    x = indicator(given)
+    expected = np.vstack([residual(a, v), a - x @ (x.T @ a)])
+    np.testing.assert_array_equal(pipelines._stacked_residual(a, v, given), expected)
+
+
+def test_supervised_select_holds_one_stacked_residual(rng):
+    # the 2m x n stacked residual (2x the input) plus O(n) scratch and the
+    # sampler's finiteness mask; four m x n copies at once would be 6x
+    a = rng.standard_normal((400, 300))
+    given = lloyd_best(a, 5, restarts=1, seed=0)
+    tracemalloc.start()
+    try:
+        supervised_select(a, given, 5, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * a.nbytes
 
 
 def test_supervised_bound_with_exhaustive_backend(rng):

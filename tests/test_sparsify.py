@@ -339,6 +339,33 @@ def test_sampler_two_identity_fast_path_matches_dense(rng):
     np.testing.assert_allclose(fast.weights, dense.weights, rtol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "shape", [(1, 7), (2, 1), (500, 1), (500, 2), (1, 2), (64, 9), (65, 9), (1000, 37)]
+)
+def test_streamed_charges_equal_the_whole_matrix_sum_bit_for_bit(rng, shape):
+    # the sampler-one charges are summed over blocks of rows; every layout
+    # must give the bits of np.square(b).sum(axis=0)
+    b = rng.standard_normal(shape) * np.logspace(-6, 6, shape[1])
+    for c in (b, np.asfortranarray(b), np.vstack([b, b])[::2], np.hstack([b, b])[:, ::2]):
+        expected = np.square(c).sum(axis=0)
+        assert sparsify._column_sq_norms(c).tobytes() == expected.tobytes()
+
+
+def test_sampler_one_charges_take_no_copy_of_the_second_set(rng):
+    # beyond the finiteness mask of as_matrix (1/8 of b), the charges need
+    # O(n) scratch: no squared copy of b
+    n = 300
+    v_rows = orthonormal_rows(rng, 4, n)
+    b = rng.standard_normal((2000, n))
+    tracemalloc.start()
+    try:
+        deterministic_sampling_one(v_rows, b, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * b.nbytes
+
+
 def test_sampler_two_identity_takes_no_quadratic_memory(rng):
     # recognising the identity needs no n x n temporary, not even a
     # finiteness mask: the peak is linear in n (3.4 x v_rows measured, and
