@@ -41,15 +41,25 @@ _TOP_EIGH_DEGREE = 4
 _SAFE_EXP = 222
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate *a* as a finite 2-d float matrix and return it as float64."""
+def _as_2d(a) -> np.ndarray:
+    # *a* as a float64 matrix of at least one row and one column, entries unchecked
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ArgumentError(f"expected a 2-d array, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ArgumentError(f"matrix must be at least 1x1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return arr
+
+
+def _require_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
         raise ContractViolationError("matrix entries must be finite")
+
+
+def as_matrix(a) -> np.ndarray:
+    """Validate *a* as a finite 2-d float matrix and return it as float64."""
+    arr = _as_2d(a)
+    _require_finite(arr)
     return arr
 
 
@@ -87,13 +97,21 @@ class SymEig:
         return int(self.values.size)
 
 
-def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    # (a * 2**-e, e), the one scaling rule for every sum of squares: *a*
-    # itself when the exponent e of max |a| lies in [0, _SAFE_EXP], else
-    # max |a| brought into [0.5, 1).  A power of two is exact on normal
-    # numbers, so products and squares, and every decision, scale exactly.
+def _scale_exponent(a: np.ndarray) -> int:
+    # the exponent e of the one scaling rule for every sum of squares: 0
+    # when the exponent of max |a| lies in [0, _SAFE_EXP], else the one
+    # that brings max |a| into [0.5, 1).  It reads no copy of *a*, and
+    # non-finite data gets 0, so its sums stay non-finite.
     e = math.frexp(max(float(a.max()), -float(a.min())))[1]
-    return (a, 0) if 0 <= e <= _SAFE_EXP else (np.ldexp(a, -e), e)
+    return 0 if 0 <= e <= _SAFE_EXP else e
+
+
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    # (a * 2**-e, e) for e = _scale_exponent(a), *a* itself when e = 0.  A
+    # power of two is exact on normal numbers, so products and squares,
+    # and every decision, scale exactly.
+    e = _scale_exponent(a)
+    return (np.ldexp(a, -e), e) if e else (a, 0)
 
 
 def _floored_sigma(lam: np.ndarray, shape: tuple, e: int) -> np.ndarray:
@@ -184,6 +202,7 @@ def _gram_eigh(b: np.ndarray, shape: tuple, k: int | None = None) -> tuple[np.nd
     # *k*, the top k only, from _top_eigh when it certifies them.
     c, e = _rescaled(b)
     g = c.T @ c
+    del c  # a scaled copy of b, if one was made, is not held through the solve
     top = None if k is None else _top_eigh(g, k, shape)
     if top is None:
         lam, vecs = np.linalg.eigh(g)

@@ -25,6 +25,7 @@ from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, obje
 from .linalg import _minus_product, approx_svd_z, as_matrix, svd_top_k
 from .sparsify import (
     SamplingPlan,
+    _identity,
     apply_plan,
     deterministic_sampling_one,
     deterministic_sampling_two,
@@ -115,14 +116,15 @@ def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
     """Deterministically select r columns without any label information.
 
     Runs the spectrally-capped dual-set sampler against the top-k right
-    singular subspace with the identity as the second set (diagonal fast
-    path).  Identical inputs give an identical plan.
+    singular subspace with the identity as the second set, held in O(n)
+    memory and run on the sampler's diagonal path.  Identical inputs give
+    an identical plan.
     """
     a = as_matrix(a)
     _, n = a.shape
     _validate_window(k, r, n)
     top = svd_top_k(a, k)
-    plan = deterministic_sampling_two(top.v.T, np.eye(n), r)
+    plan = deterministic_sampling_two(top.v.T, _identity(n), r)
     return FeatureSelection(
         plan=plan, reduced=apply_plan(a, plan), method="unsupervised", k=k, r=r,
         basis=top.v,
@@ -174,7 +176,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
         # the first stage would keep everything: use the identity plan and
         # run the deterministic stage on the sketch directly
         stage1 = identity_plan(n)
-        stage2 = deterministic_sampling_two(z.T, np.eye(n), r)
+        stage2 = deterministic_sampling_two(z.T, _identity(n), r)
     else:
         for attempt in range(1 + STAGE1_RETRIES):
             stage1 = randomized_sampling(z.T, c, _child_seed(seed, 1 + attempt))
@@ -187,7 +189,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
             raise RankFailureError(
                 f"first-stage sample lost rank k={k} in {1 + STAGE1_RETRIES} attempts"
             )
-        stage2 = deterministic_sampling_two(narrowed.v.T, np.eye(c), r)
+        stage2 = deterministic_sampling_two(narrowed.v.T, _identity(c), r)
     plan = _compose(stage1, stage2)
     return FeatureSelection(
         plan=plan,

@@ -8,7 +8,8 @@ Three ways to pick and rescale ``r`` columns of an n-column matrix:
 * :func:`deterministic_sampling_two` — greedy dual-set selection with a
   moving upper spectral barrier on the second set.  An exact identity
   second set is recognised from its entries, with no n x n product, and
-  runs on a diagonal accumulator.
+  runs on a diagonal accumulator; the pipelines pass :func:`_identity`,
+  which holds it in 2n - 1 floats.
 * :func:`randomized_sampling` — i.i.d. leverage-score sampling.
 
 Both greedy samplers score candidates with one closed-form barrier gain,
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalSearchError
-from .linalg import _rescaled, as_matrix
+from .linalg import _as_2d, _require_finite, _scale_exponent, as_matrix
 
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
@@ -267,20 +268,34 @@ def _finish_plan(n: int, r: int, k: int, picked: np.ndarray, t_vals: np.ndarray)
     )
 
 
-def _column_sq_norms(c: np.ndarray) -> np.ndarray:
-    # np.square(c).sum(axis=0), bit for bit, in O(n) scratch.  numpy adds
-    # the rows of a C-ordered matrix of two or more columns one after
-    # another, so blocks of rows are squared into a buffer whose first row
-    # carries the running sum.  It sums a single column, or the columns of
-    # other layouts, pairwise: those take the whole-matrix expression.
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity as a read-only view over 2n - 1 floats.
+
+    Row i is the window of a unit spike that puts its one in column i, so
+    the view equals ``np.eye(n)`` entry for entry, and its ``nbytes`` is
+    the identity's logical size, while it holds O(n) memory.
+    """
+    spike = np.zeros(2 * n - 1)
+    spike[n - 1] = 1.0
+    return np.lib.stride_tricks.sliding_window_view(spike, n)[::-1]
+
+
+def _column_sq_norms(c: np.ndarray, e: int) -> np.ndarray:
+    # np.square(c * 2**-e).sum(axis=0), bit for bit, in O(n) scratch.  numpy
+    # adds the rows of a C-ordered matrix of two or more columns one after
+    # another, so blocks of rows are scaled and squared in a buffer whose
+    # first row carries the running sum.  It sums a single column, or the
+    # columns of other layouts, pairwise: those take the whole-matrix
+    # expression.
     m, n = c.shape
     if n == 1 or not c.flags.c_contiguous:
-        return np.square(c).sum(axis=0)
+        return np.square(np.ldexp(c, -e) if e else c).sum(axis=0)
     buf = np.zeros((_CHARGE_ROWS + 1, n))
     for start in range(0, m, _CHARGE_ROWS):
         block = c[start:start + _CHARGE_ROWS]
-        np.square(block, out=buf[1:1 + block.shape[0]])
-        buf[0] = np.add.reduce(buf[:1 + block.shape[0]], axis=0)
+        rows = buf[1:1 + block.shape[0]]
+        np.square(np.ldexp(block, -e, out=rows) if e else block, out=rows)
+        buf[0] = np.add.reduce(buf[:1 + rows.shape[0]], axis=0)
     return buf[0].copy()
 
 
@@ -295,11 +310,17 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
 
     where "applied" means gathering and rescaling columns with the plan.
     Only the squared column norms of *b* reach the sampler; they are summed
-    over blocks of rows, so a C-ordered *b* costs O(n) scratch.  The output
-    is a pure function of the inputs.
+    over blocks of rows, so a C-ordered *b* costs O(n) scratch at any
+    scale.  The output is a pure function of the inputs.
     """
     v_rows = as_matrix(v_rows)
-    b = as_matrix(b)
+    b = _as_2d(b)
+    # the charges are ratios of squares: the one scaling rule keeps them
+    # finite at any scale, and exact wherever the squares stay normal.  So
+    # a column sum is finite exactly when its column is, and the n sums
+    # check b's entries with no mask of b.
+    col_sq = _column_sq_norms(b, _scale_exponent(b))
+    _require_finite(col_sq)
     k, n = v_rows.shape
     if b.shape[1] != n:
         raise ArgumentError(
@@ -308,9 +329,6 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     _require_orthonormal_rows(v_rows, "v_rows")
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    # the charges are ratios of squares: the one scaling rule keeps them
-    # finite at any scale, and exact wherever the squares stay normal
-    col_sq = _column_sq_norms(_rescaled(b)[0])
     fro2 = float(col_sq.sum())
     # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
     charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq

@@ -20,6 +20,7 @@ from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, obje
 from .linalg import approx_svd_z, frobenius_norm, sigma_k, svd_top_k
 from .pipelines import _stacked_residual, randomized_select, supervised_select, unsupervised_select
 from .sparsify import (
+    _identity,
     apply_plan,
     deterministic_sampling_one,
     deterministic_sampling_two,
@@ -124,7 +125,7 @@ def sampler_two_trial(seed: int, m=50, n=100, k=4, r=16) -> dict:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     top = svd_top_k(a, k)
-    plan = deterministic_sampling_two(top.v.T, np.eye(n), r)
+    plan = deterministic_sampling_two(top.v.T, _identity(n), r)
     sig = sigma_k(apply_plan(top.v.T, plan), k)
     # the columns of the sampled identity are weighted unit vectors,
     # orthogonal across distinct indices: its Gram matrix is diagonal with

@@ -17,7 +17,7 @@ from kmselect.pipelines import (
     supervised_select,
     unsupervised_select,
 )
-from kmselect.sparsify import SamplingPlan, apply_plan
+from kmselect.sparsify import SamplingPlan, apply_plan, deterministic_sampling_two
 
 
 def zero_error_dataset(rng, k=2, copies=4, n=6):
@@ -45,6 +45,21 @@ def test_supervised_select_holds_one_stacked_residual(rng):
     # the 2m x n stacked residual (2x the input) plus O(n) scratch and the
     # sampler's finiteness mask; four m x n copies at once would be 6x
     a = rng.standard_normal((400, 300))
+    given = lloyd_best(a, 5, restarts=1, seed=0)
+    tracemalloc.start()
+    try:
+        supervised_select(a, given, 5, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * a.nbytes
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_supervised_select_peak_is_the_same_at_every_scale(rng, scale):
+    # out of the scaling window neither the top-k solve nor the sampler
+    # holds a scaled copy beside the stacked residual
+    a = rng.standard_normal((400, 300)) * scale
     given = lloyd_best(a, 5, restarts=1, seed=0)
     tracemalloc.start()
     try:
@@ -138,6 +153,26 @@ def test_unsupervised_deterministic(rng):
     assert unsupervised_select(a, 2, 4).plan == unsupervised_select(a, 2, 4).plan
 
 
+def test_unsupervised_select_holds_no_quadratic_second_set(rng):
+    # the identity second set costs 2n - 1 floats: the peak is a fraction
+    # of the input (np.eye(4000) alone would be 13x it)
+    a = rng.standard_normal((300, 4000))
+    tracemalloc.start()
+    try:
+        unsupervised_select(a, 5, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes
+
+
+def test_unsupervised_plan_equals_an_explicit_identity_second_set():
+    for seed in range(4):
+        a = np.random.default_rng(seed).standard_normal((30, 60))
+        plan = deterministic_sampling_two(svd_top_k(a, 3).v.T, np.eye(60), 12)
+        assert unsupervised_select(a, 3, 12).plan == plan
+
+
 def test_deterministic_pipelines_keep_full_rank(rng):
     for t in range(10):
         local = np.random.default_rng(400 + t)
@@ -174,6 +209,18 @@ def test_randomized_degenerate_stage1_keeps_everything(rng):
     fs = randomized_select(a, 2, 4, seed=0)
     assert fs.stage1_size == 8  # identity first stage: c >= n
     assert fs.reduced.shape == (10, 4)
+
+
+def test_randomized_full_first_stage_holds_no_quadratic_second_set(rng):
+    a = rng.standard_normal((400, 800))
+    tracemalloc.start()
+    try:
+        fs = randomized_select(a, 10, 40, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fs.stage1_size == 800  # c >= n: the sketch meets an 800 x 800 identity
+    assert peak < a.nbytes
 
 
 def test_randomized_two_stage_composition(rng):

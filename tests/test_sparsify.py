@@ -7,7 +7,7 @@ import pytest
 
 from kmselect import sparsify
 from kmselect.errors import ArgumentError, ContractViolationError, NumericalSearchError
-from kmselect.linalg import sigma_k, spectral_norm
+from kmselect.linalg import _rescaled, _scale_exponent, sigma_k, spectral_norm
 from kmselect.sparsify import (
     SamplingPlan,
     apply_plan,
@@ -343,12 +343,16 @@ def test_sampler_two_identity_fast_path_matches_dense(rng):
     "shape", [(1, 7), (2, 1), (500, 1), (500, 2), (1, 2), (64, 9), (65, 9), (1000, 37)]
 )
 def test_streamed_charges_equal_the_whole_matrix_sum_bit_for_bit(rng, shape):
-    # the sampler-one charges are summed over blocks of rows; every layout
-    # must give the bits of np.square(b).sum(axis=0)
+    # the sampler-one charges are scaled and summed over blocks of rows;
+    # every layout, at every scale, must give the bits of the squares of
+    # the whole rescaled matrix
     b = rng.standard_normal(shape) * np.logspace(-6, 6, shape[1])
-    for c in (b, np.asfortranarray(b), np.vstack([b, b])[::2], np.hstack([b, b])[:, ::2]):
-        expected = np.square(c).sum(axis=0)
-        assert sparsify._column_sq_norms(c).tobytes() == expected.tobytes()
+    for scale in (1.0, 1e200, 1e-200):
+        for c in (b, np.asfortranarray(b), np.vstack([b, b])[::2], np.hstack([b, b])[:, ::2]):
+            c = c * scale
+            expected = np.square(_rescaled(c)[0]).sum(axis=0)
+            got = sparsify._column_sq_norms(c, _scale_exponent(c))
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_sampler_one_charges_take_no_copy_of_the_second_set(rng):
@@ -364,6 +368,48 @@ def test_sampler_one_charges_take_no_copy_of_the_second_set(rng):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * b.nbytes
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_sampler_one_charges_take_no_mask_or_scaled_copy_of_the_second_set(rng, scale):
+    # the charges are scaled block by block and finiteness is read off
+    # their n sums, so at every scale the scratch is one 65 x n buffer
+    # (1/30 of b) beside the k x n loop state
+    n = 300
+    v_rows = orthonormal_rows(rng, 4, n)
+    b = rng.standard_normal((2000, n)) * scale
+    tracemalloc.start()
+    try:
+        deterministic_sampling_one(v_rows, b, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * b.nbytes
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sampler_one_nonfinite_second_set_is_rejected(rng, value):
+    n = 30
+    b = rng.standard_normal((20, n))
+    b[7, 11] = value
+    with pytest.raises(ContractViolationError, match="finite"):
+        deterministic_sampling_one(orthonormal_rows(rng, 3, n), b, 6)
+
+
+def test_identity_is_a_read_only_eye_over_linear_memory():
+    for n in (1, 2, 7, 300):
+        eye = sparsify._identity(n)
+        np.testing.assert_array_equal(eye, np.eye(n))
+        assert eye.dtype == np.float64 and eye.nbytes == n * n * 8
+        with pytest.raises(ValueError):
+            eye[0, -1] = 1.0
+    tracemalloc.start()
+    try:
+        eye = sparsify._identity(4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 * 4000 * 8
 
 
 def test_sampler_two_identity_takes_no_quadratic_memory(rng):
