@@ -7,10 +7,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolationError
-from .kmeans import Clustering, indicator
-from .linalg import _rescaled, as_matrix, residual, singular_values
-from .sparsify import SamplingPlan, apply_plan
+from .errors import ArgumentError
+from .kmeans import Clustering, objective
+from .linalg import _at_scale, _rescaled, as_matrix, residual, singular_values
+from .sparsify import SamplingPlan, _require_orthonormal_rows, apply_plan
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
 # lhs <= rhs + COMPARISON_SLACK * max(1, rhs).
@@ -48,14 +48,6 @@ def bound_report(name: str, lhs: float, rhs: float, factor: float, context: dict
     holds = bool(lhs <= rhs + COMPARISON_SLACK * max(1.0, rhs))
     return BoundReport(name=name, lhs=float(lhs), rhs=float(rhs),
                        factor=float(factor), holds=holds, context=dict(context))
-
-
-def _at_scale(x: float, e: int) -> float:
-    # a sum of squares of data multiplied by 2**-e, at the data's own scale
-    try:
-        return math.ldexp(x, 2 * e)
-    except OverflowError:
-        raise ContractViolationError("the bound's terms exceed the float64 range") from None
 
 
 def _check_gamma(gamma: float) -> None:
@@ -123,6 +115,13 @@ def structural_check(
     ``z.T omega s`` to have full rank k; otherwise the report is marked
     inapplicable (``context["applicable"] = False``, ``holds = False``).
 
+    Both clustering costs come from :func:`~kmselect.kmeans.objective`:
+    the left side is ``objective(a, out_clust)``, and the sampled term is
+    ``objective(apply_plan(a, plan), in_clust)``, since projecting the rows
+    commutes with sampling the columns.  Beyond the input, the check holds
+    one m x n array at a time: the residual ``e``, sampled and then squared
+    in place, or a cost's scratch.
+
     Both sides are homogeneous of degree 2 in *a*: the verdict is taken on
     *a* rescaled by the package's one scaling rule, and the sides are
     reported at the caller's scale, or raise :class:`ContractViolationError`
@@ -133,25 +132,17 @@ def structural_check(
     z = as_matrix(z)
     m, n = a.shape
     k = z.shape[1]
+    _require_orthonormal_rows(z.T, "z.T")
+    lhs = objective(a, out_clust)
     e = residual(a, z)  # validates conformability
-    zt_cols = float(np.abs(z.T @ z - np.eye(k)).max())
-    if zt_cols > 1e-8:
-        raise ArgumentError(f"z must have orthonormal columns (deviation {zt_cols:.2e})")
-    x_out = indicator(out_clust)
-    lhs = float(np.square(a - x_out @ (x_out.T @ a)).sum())
     context = {"m": m, "n": n, "k": k, "r": plan.target_dim, "gamma": float(gamma)}
     sig = singular_values(apply_plan(z.T, plan))
     applicable = bool(sig.size >= k and sig[k - 1] > 0.0)
     rhs = float("nan")  # fails every comparison, so an inapplicable report never holds
     if applicable:
-        x_in = indicator(in_clust)
-        sampled_in = apply_plan(a - x_in @ (x_in.T @ a), plan)
-        sampled_e = apply_plan(e, plan)
-        rhs = float(
-            np.square(e).sum()
-            + 2.0 * gamma * (np.square(sampled_in).sum() + np.square(sampled_e).sum())
-            / sig[k - 1] ** 2
-        )
+        sampled = objective(apply_plan(a, plan), in_clust) + np.square(apply_plan(e, plan)).sum()
+        rhs = float(np.square(e, out=e).sum() + 2.0 * gamma * sampled / sig[k - 1] ** 2)
     context["applicable"] = applicable
     report = bound_report("structural-bound", lhs, rhs, gamma, context)
-    return replace(report, lhs=_at_scale(lhs, scale), rhs=_at_scale(rhs, scale))
+    what = "structural bound"
+    return replace(report, lhs=_at_scale(lhs, 2 * scale, what), rhs=_at_scale(rhs, 2 * scale, what))

@@ -24,8 +24,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolationError, SelectionError
-from .kmeans import BRUTE_FORCE_MAX_POINTS, brute_force_optimal, from_labels, lloyd_best, objective
+from .errors import ArgumentError, ContractViolationError, ResourceLimitError, SelectionError
+from .kmeans import brute_force_optimal, from_labels, lloyd_best, objective
 from .pipelines import select_then_cluster
 from .verify import SUITES, run_suite
 
@@ -123,10 +123,6 @@ def _cmd_select(args) -> int:
                 f"{len(labels)} labels for {m} points"
             )
         given = from_labels(labels, args.k)
-    if args.backend == "brute" and m > BRUTE_FORCE_MAX_POINTS:
-        raise ArgumentError(
-            f"brute backend is limited to {BRUTE_FORCE_MAX_POINTS} points, got {m}"
-        )
     report = select_then_cluster(
         a,
         args.k,
@@ -145,10 +141,6 @@ def _cmd_select(args) -> int:
 def _cmd_cluster(args) -> int:
     a = read_matrix_csv(args.input, args.has_header)
     if args.backend == "brute":
-        if a.shape[0] > BRUTE_FORCE_MAX_POINTS:
-            raise ArgumentError(
-                f"brute backend is limited to {BRUTE_FORCE_MAX_POINTS} points, got {a.shape[0]}"
-            )
         c = brute_force_optimal(a, args.k)
     else:
         c = lloyd_best(a, args.k, restarts=args.restarts, seed=args.seed)
@@ -269,7 +261,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.command](args)
-    except (ArgumentError, ContractViolationError) as exc:
+    except (ArgumentError, ContractViolationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SelectionError as exc:

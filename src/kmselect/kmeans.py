@@ -24,17 +24,17 @@ the rounding of the column means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError
-from .linalg import _rescaled, as_matrix
+from .linalg import _at_scale, _rescaled, as_matrix
 
 _MAX_ITER = 300
-DEFAULT_TOL = 1e-10
+# Lloyd stops once a step lowers the cost by less than this, at the data's scale
+_TOL = 1e-10
 BRUTE_FORCE_MAX_POINTS = 12
 _PARTITION_BATCH = 4096
 
@@ -127,10 +127,7 @@ def objective(a, c: Clustering) -> float:
     labels = c.labels0()
     b, e = _rescaled(a)
     centroids = _centroids(b, labels, c.num_clusters)
-    try:
-        return math.ldexp(_cost(b, centroids, labels, np.empty(b.shape)), 2 * e)
-    except OverflowError:
-        raise ContractViolationError("the clustering cost exceeds the float64 range") from None
+    return _at_scale(_cost(b, centroids, labels, np.empty(b.shape)), 2 * e, "clustering cost")
 
 
 def _checked(a, k: int) -> np.ndarray:
@@ -225,50 +222,32 @@ def _lloyd(p: _Points, k: int, centroids: np.ndarray, tol: float) -> tuple[np.nd
     return labels, obj
 
 
-def _scaled_tol(tol: float, e: int) -> float:
-    # tol at the scale of points times 2**-e; saturates at inf, below which
-    # every decrease falls
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(tol, -2 * e))
-
-
-def lloyd(a, k: int, init: np.ndarray | None = None, tol: float = DEFAULT_TOL,
-          seed: int | None = None) -> Clustering:
-    """Lloyd refinement from *init* centroids (k-means++ seeded if omitted).
-
-    Alternates assignment and centroid steps until the labels repeat, the
-    objective decrease drops below *tol*, or 300 iterations have run.  The
-    objective is non-increasing across iterations; clusters emptied by an
-    assignment step are repaired by reseeding them with the point farthest
-    from its current centroid (taken from a cluster of size at least two).
-    The points, *init* and *tol* are rescaled once by the package's one
-    scaling rule, so squared distances of huge or tiny data stay finite and
-    non-zero and every decision is the one made on the raw data; a *tol*
-    whose rescaled value overflows lets every decrease stop the run.
-    """
-    b, e = _rescaled(_checked(a, k))
-    if init is None:
-        centroids = b[_kmeanspp(b, k, 0 if seed is None else seed)]
-    else:
-        centroids = np.ldexp(np.asarray(init, dtype=float), -e)
-        if centroids.shape != (k, b.shape[1]):
-            raise ArgumentError(f"init must be a {k}x{b.shape[1]} array, got {centroids.shape}")
-    labels, _ = _lloyd(_points(b), k, centroids, _scaled_tol(tol, e))
-    return Clustering(b.shape[0], k, tuple(int(x) + 1 for x in labels))
+def lloyd(a, k: int, seed: int | None = None) -> Clustering:
+    """One k-means++-seeded Lloyd run: ``lloyd_best(a, k, 1, seed)``."""
+    return lloyd_best(a, k, 1, seed)
 
 
 def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Clustering:
     """Best of *restarts* seeded k-means++/Lloyd runs (ties keep the earliest).
 
-    Restart ``t`` is ``lloyd(a, k, seed=seed + t)``, run on points rescaled
-    once as in :func:`lloyd` and ranked by its final cost there, the value
-    :func:`objective` gives: costs stay finite and comparable.
+    Restart ``t`` seeds k-means++ with ``seed + t`` (0 + t without a seed),
+    then alternates assignment and centroid steps until the labels repeat,
+    the objective decrease drops below 1e-10, or 300 iterations have run.
+    The objective is non-increasing across iterations; clusters emptied by
+    an assignment step are repaired by reseeding them with the point
+    farthest from its current centroid (taken from a cluster of size at
+    least two).  The points and the tolerance are rescaled once by the
+    package's one scaling rule, so squared distances of huge or tiny data
+    stay finite and non-zero; a tolerance whose rescaled value overflows
+    lets every decrease stop a run.  Restarts are ranked by their final
+    cost there, the value :func:`objective` gives.
     """
     b, e = _rescaled(_checked(a, k))
     if restarts < 1:
         raise ArgumentError(f"need at least one restart, got {restarts}")
     base = 0 if seed is None else seed
-    tol = _scaled_tol(DEFAULT_TOL, e)
+    with np.errstate(over="ignore"):  # saturates at inf, below which every decrease falls
+        tol = float(np.ldexp(_TOL, -2 * e))
     p = _points(b)
     runs = (_lloyd(p, k, b[_kmeanspp(b, k, base + t)], tol) for t in range(restarts))
     labels = min(runs, key=lambda run: run[1])[0]  # the first of equal costs wins
@@ -342,6 +321,13 @@ def _batch_objectives(g: np.ndarray, label_batch: np.ndarray, k: int,
     return np.trace(g) - between.sum(axis=1)
 
 
+def _require_enumerable(m: int) -> None:
+    if m > BRUTE_FORCE_MAX_POINTS:
+        raise ResourceLimitError(
+            f"exhaustive search is limited to {BRUTE_FORCE_MAX_POINTS} points, got {m}"
+        )
+
+
 def brute_force_optimal(a, k: int) -> Clustering:
     """Globally optimal clustering by exhaustive search over all k-partitions.
 
@@ -355,10 +341,7 @@ def brute_force_optimal(a, k: int) -> Clustering:
     """
     a = _checked(a, k)
     m = a.shape[0]
-    if m > BRUTE_FORCE_MAX_POINTS:
-        raise ResourceLimitError(
-            f"exhaustive search is limited to {BRUTE_FORCE_MAX_POINTS} points, got {m}"
-        )
+    _require_enumerable(m)
     g = _centred_gram(a)
     scratch = None
     best_labels = None

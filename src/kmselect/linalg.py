@@ -114,6 +114,15 @@ def _rescaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.ldexp(a, -e), e) if e else (a, 0)
 
 
+def _at_scale(x: float, e: int, what: str) -> float:
+    # x * 2**e, exact unless it leaves the normal range: the way back from
+    # the scaling rule for a value taken on scaled data
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise ContractViolationError(f"the {what} exceeds the float64 range") from None
+
+
 def _floored_sigma(lam: np.ndarray, shape: tuple, e: int) -> np.ndarray:
     # Square roots of Gram eigenvalues *lam* (largest first) of a matrix of
     # the given shape scaled by 2**-e, returned at the matrix's own scale.
@@ -295,10 +304,7 @@ def frobenius_norm(a) -> float:
     float64 range raises :class:`ContractViolationError`.
     """
     c, e = _rescaled(as_matrix(a))
-    try:
-        return math.ldexp(float(np.linalg.norm(c)), e)
-    except OverflowError:
-        raise ContractViolationError("the Frobenius norm exceeds the float64 range") from None
+    return _at_scale(float(np.linalg.norm(c)), e, "Frobenius norm")
 
 
 def spectral_norm(a) -> float:

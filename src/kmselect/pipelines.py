@@ -21,7 +21,14 @@ import numpy as np
 
 from .bounds import bound_report, theorem1_factor, theorem2_factor, theorem3_factor
 from .errors import ArgumentError, RankDeficiencyError, RankFailureError
-from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
+from .kmeans import (
+    Clustering,
+    _require_enumerable,
+    brute_force_optimal,
+    indicator,
+    lloyd_best,
+    objective,
+)
 from .linalg import _minus_product, approx_svd_z, as_matrix, svd_top_k
 from .sparsify import (
     SamplingPlan,
@@ -232,6 +239,8 @@ def select_then_cluster(
         raise ArgumentError(f"unknown method {method!r}, expected one of {METHODS}")
     if backend not in BACKENDS:
         raise ArgumentError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
+    if backend == "brute":
+        _require_enumerable(m)
     if method == "supervised":
         if given is None:
             raise ArgumentError("supervised selection requires an input clustering")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from kmselect.bounds import (
     theorem3_factor,
 )
 from kmselect.errors import ArgumentError, ContractViolationError
-from kmselect.kmeans import Clustering, brute_force_optimal
+from kmselect.kmeans import Clustering, brute_force_optimal, from_labels, objective
 from kmselect.linalg import svd_top_k
 from kmselect.sparsify import SamplingPlan, apply_plan, identity_plan
 from kmselect.pipelines import unsupervised_select
@@ -217,3 +218,33 @@ def test_structural_rejects_bad_basis(rng):
         structural_check(a, rng.standard_normal((6, 2)), opt, opt, identity_plan(6), 1.0)
     with pytest.raises(ArgumentError):
         structural_check(a, svd_top_k(a, 2).v, opt, opt, identity_plan(6), 0.5)
+
+
+def _structural_instance(rng, m, n, k, r):
+    a = rng.standard_normal((m, n))
+    fs = unsupervised_select(a, k, r)
+    labels = np.arange(m) % k + 1
+    given = from_labels(labels)
+    out = from_labels(rng.permutation(labels))
+    return a, fs, given, out
+
+
+def test_structural_lhs_is_the_objective(rng):
+    # the left side is the package's clustering cost, bit for bit
+    for m, n in ((12, 9), (60, 40)):
+        a, fs, given, out = _structural_instance(rng, m, n, 3, 6)
+        rep = structural_check(a, fs.basis, given, out, fs.plan, 1.0)
+        assert rep.lhs == objective(a, out)
+
+
+def test_structural_check_holds_one_scratch_array(rng):
+    # one m x n array at a time beyond the input: the residual, or a cost's
+    # scratch, plus finiteness masks and r-column samples
+    a, fs, given, out = _structural_instance(rng, 400, 300, 5, 40)
+    tracemalloc.start()
+    try:
+        structural_check(a, fs.basis, given, out, fs.plan, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * a.nbytes

@@ -210,6 +210,14 @@ def test_cluster_report_shape(tmp_path, capsys):
     assert report["objective"] >= 0.0
 
 
+def test_cluster_brute_beyond_enumeration_guard_is_a_validation_error(tmp_path, capsys):
+    big, _ = synth(tmp_path, name="big.csv", m=20, k=2)
+    assert run_cli("cluster", "--input", big, "--k", 2, "--backend", "brute") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "12 points" in captured.err
+
+
 def test_cluster_cost_beyond_float64_range_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("1e200\n1.1e200\n-1e200\n")

@@ -14,7 +14,9 @@ from kmselect.kmeans import (
     Clustering,
     _batch_objectives,
     _centred_gram,
+    _lloyd,
     _partition_batches,
+    _points,
     _rescaled,
     brute_force_optimal,
     from_labels,
@@ -218,6 +220,15 @@ def test_objective_takes_one_scratch_array(rng):
 # ---------------------------------------------------------------------------
 
 
+def _lloyd_from(a, init):
+    # one run of lloyd_best's kernel from the given centroids, on the points
+    # and centroids rescaled alike; it stops only when the labels repeat
+    b, e = _rescaled(np.asarray(a, dtype=float))
+    init = np.ldexp(np.asarray(init, dtype=float), -e)
+    labels, _ = _lloyd(_points(b), init.shape[0], init, 0.0)
+    return Clustering(b.shape[0], init.shape[0], tuple(int(x) + 1 for x in labels))
+
+
 def test_lloyd_fixed_point_distinct_points(rng):
     a = rng.standard_normal((4, 3)) * 10.0
     c = lloyd(a, 4, seed=0)
@@ -226,14 +237,14 @@ def test_lloyd_fixed_point_distinct_points(rng):
 
 def test_lloyd_rectangle_with_correct_init():
     init = np.array([[0.0, 1.0], [10.0, 1.0]])
-    c = lloyd(RECT, 2, init=init)
+    c = _lloyd_from(RECT, init)
     assert objective(RECT, c) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_lloyd_repairs_empty_clusters():
     # both centroids far on one side: every point first lands in cluster 1
     a = np.array([[0.0], [1.0], [10.0]])
-    c = lloyd(a, 2, init=np.array([[-100.0], [-200.0]]))
+    c = _lloyd_from(a, [[-100.0], [-200.0]])
     assert c.num_clusters == 2
     assert len(set(c.assignment)) == 2
 
@@ -255,17 +266,8 @@ def test_lloyd_best_clusters_data_whose_squares_overflow():
     c = lloyd_best([[1e200], [1.1e200], [-1e200]], 2)
     assert c.num_clusters == 2
     assert c.assignment[0] == c.assignment[1] != c.assignment[2]
-    c = lloyd([[1e200], [1.1e200], [-1e200]], 2, init=[[-1e200], [1.05e200]])
+    c = _lloyd_from([[1e200], [1.1e200], [-1e200]], [[-1e200], [1.05e200]])
     assert c.assignment == (2, 2, 1)
-
-
-def test_lloyd_decisions_are_invariant_to_power_of_two_scaling(rng):
-    # a tol that stops runs early must scale with the squared distances
-    for t in range(5):
-        a = rng.standard_normal((60, 3)) + rng.integers(0, 3, size=(60, 1))
-        ref = lloyd(a, 4, seed=t, tol=3.0)
-        for j in (-300, -40, 40, 300):
-            assert lloyd(np.ldexp(a, j), 4, seed=t, tol=np.ldexp(3.0, 2 * j)) == ref
 
 
 def _first_cheapest_restart(a, k, restarts, seed, shift):
@@ -299,13 +301,12 @@ def test_lloyd_best_is_the_first_cheapest_lloyd_restart():
 
 
 def test_lloyd_emits_no_overflow_warning_on_tiny_data(rng):
-    # 2**-2e times the default tol passes the float64 range at this scale; it
+    # 2**-2e times the tolerance passes the float64 range at this scale; it
     # saturates, so every decrease counts as below it, as the overflow did
     a = (rng.standard_normal((30, 3)) + rng.integers(0, 3, size=(30, 1))) * 1e-160
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        c = lloyd(a, 3, seed=1)
-        assert lloyd(a, 3, seed=1, tol=np.inf) == c
+        assert lloyd(a, 3, seed=1).num_clusters == 3
         best = lloyd_best(a, 3, restarts=5, seed=2)
     assert best == _first_cheapest_restart(a, 3, 5, 2, 530)
 
@@ -313,9 +314,7 @@ def test_lloyd_emits_no_overflow_warning_on_tiny_data(rng):
 def test_lloyd_argument_errors(rng):
     a = rng.standard_normal((3, 2))
     with pytest.raises(ArgumentError):
-        lloyd(a, 4)
-    with pytest.raises(ArgumentError):
-        lloyd(a, 2, init=np.zeros((3, 2)))
+        lloyd_best(a, 4)
     with pytest.raises(ArgumentError):
         lloyd_best(a, 2, restarts=0)
 
