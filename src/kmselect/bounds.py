@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .kmeans import Clustering, objective
-from .linalg import _at_scale, _rescaled, as_matrix, residual, singular_values
+from .linalg import _as_2d, _at_scale, _rescaled, as_matrix, residual, singular_values
 from .sparsify import SamplingPlan, _require_orthonormal_rows, apply_plan
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
@@ -128,7 +128,7 @@ def structural_check(
     beyond the float64 range.
     """
     _check_gamma(gamma)
-    a, scale = _rescaled(as_matrix(a))
+    a, scale = _rescaled(_as_2d(a))
     z = as_matrix(z)
     m, n = a.shape
     k = z.shape[1]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -43,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through our own codes
     def error(self, message):
         raise _CliValidationError(message)
+
+
+def _seed(text: str) -> int:
+    # numpy takes only non-negative integer seeds
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _timestamp() -> str:
@@ -162,8 +170,8 @@ def _cmd_synth(args) -> int:
         raise ArgumentError(f"need 1 <= k <= m, got k={args.k}, m={args.m}")
     if args.n < 1:
         raise ArgumentError(f"need n >= 1, got {args.n}")
-    if args.noise < 0 or args.separation < 0:
-        raise ArgumentError("separation and noise must be non-negative")
+    if not (0 <= args.noise < math.inf and 0 <= args.separation < math.inf):
+        raise ArgumentError("separation and noise must be finite and non-negative")
     rng = np.random.default_rng(args.seed)
     if args.n >= args.k:
         # centroids on the first k coordinate axes, pairwise distance separation*sqrt(2)
@@ -211,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     select.add_argument("--k", type=int, required=True, help="number of clusters")
     select.add_argument("--r", type=int, required=True, help="number of features to select")
-    select.add_argument("--seed", type=int, default=None)
+    select.add_argument("--seed", type=_seed, default=None)
     select.add_argument("--backend", choices=("lloyd", "brute"), default="lloyd")
     select.add_argument("--restarts", type=int, default=20)
 
     cluster = sub.add_parser("cluster", help="cluster without selection, for baselines")
     add_io(cluster)
     cluster.add_argument("--k", type=int, required=True)
-    cluster.add_argument("--seed", type=int, default=None)
+    cluster.add_argument("--seed", type=_seed, default=None)
     cluster.add_argument("--backend", choices=("lloyd", "brute"), default="lloyd")
     cluster.add_argument("--restarts", type=int, default=20)
 
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--k", type=int, required=True, help="number of blobs")
     synth.add_argument("--separation", type=float, default=5.0)
     synth.add_argument("--noise", type=float, default=1.0)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--output", required=True, help="CSV path to write")
     synth.add_argument(
         "--labels-output", default=None,
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named property suite")
     verify.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
     verify.add_argument("--trials", type=int, default=None)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_seed, default=0)
     verify.add_argument("--output", default="-")
 
     return parser

@@ -9,10 +9,11 @@ one kernel that works in a single m x n scratch array, both shared by
 the objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
 and an exhaustive optimal search for small instances.
 
-Every public function validates its points and rescales them once by the
-package's one rule (``linalg._rescaled``), so squared distances of huge
-or tiny data neither overflow nor underflow, and the scaling alone
-changes no comparison and no value.  k-means++ and Lloyd are private
+Every public function checks its arguments, then rescales its points
+once by the package's one rule (``linalg._rescaled``), which is also the
+check that they are finite.  So squared distances of huge or tiny data
+neither overflow nor underflow, and the scaling alone changes no
+comparison and no value.  k-means++ and Lloyd are private
 kernels on the prepared points, and :func:`lloyd_best` ranks restarts by
 the cost its Lloyd kernel computed.  The exhaustive search also
 subtracts the column means and scores every labelling through the
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError
-from .linalg import _at_scale, _rescaled, as_matrix
+from .linalg import _as_2d, _at_scale, _rescaled
 
 _MAX_ITER = 300
 # Lloyd stops once a step lowers the cost by less than this, at the data's scale
@@ -119,7 +120,7 @@ def objective(a, c: Clustering) -> float:
     scratch array, and scaled back exactly; a cost beyond the float64
     range raises :class:`ContractViolationError`.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     if a.shape[0] != c.num_points:
         raise ArgumentError(
             f"matrix has {a.shape[0]} rows but the clustering covers {c.num_points} points"
@@ -131,7 +132,9 @@ def objective(a, c: Clustering) -> float:
 
 
 def _checked(a, k: int) -> np.ndarray:
-    a = as_matrix(a)
+    # *a* as a matrix of at least k rows, entries unchecked: the caller's
+    # rescale checks them
+    a = _as_2d(a)
     m = a.shape[0]
     if not 1 <= k <= m:
         raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
@@ -242,9 +245,10 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     lets every decrease stop a run.  Restarts are ranked by their final
     cost there, the value :func:`objective` gives.
     """
-    b, e = _rescaled(_checked(a, k))
+    a = _checked(a, k)
     if restarts < 1:
         raise ArgumentError(f"need at least one restart, got {restarts}")
+    b, e = _rescaled(a)
     base = 0 if seed is None else seed
     with np.errstate(over="ignore"):  # saturates at inf, below which every decrease falls
         tol = float(np.ldexp(_TOL, -2 * e))

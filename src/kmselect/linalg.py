@@ -6,10 +6,17 @@ comes from the symmetric eigendecomposition of a Gram matrix ``B.T @ B``.
 data whose largest magnitude lies outside ``[0.5, 2**222)`` is multiplied
 by the exact power of two that brings it into ``[0.5, 1)``, so huge or
 tiny inputs neither overflow nor underflow, and other data is used as it
-is, uncopied.  One private solver, :func:`_gram_eigh`, serves the top-k
-triplets of :func:`svd_top_k` (on the smaller Gram matrix of ``A``) and
-the projected problem of :func:`approx_svd_z`, and :func:`singular_values`
-uses the same route without vectors.  For :func:`svd_top_k` the solver
+is, uncopied.  The same rule is the package's one finiteness check: the
+largest and smallest entries it reads to pick the scale are finite
+exactly when every entry is, so it raises :class:`ContractViolationError`
+on non-finite data with no mask of the matrix.  A public function that
+rescales its input checks it that way, after its argument checks, and
+:func:`as_matrix` runs the check without the rescale.
+
+One private solver, :func:`_gram_eigh`, serves the top-k triplets of
+:func:`svd_top_k` (on the smaller Gram matrix of ``A``) and the projected
+problem of :func:`approx_svd_z`, and :func:`singular_values` uses the
+same route without vectors.  For :func:`svd_top_k` the solver
 first tries :func:`_top_eigh`, a Chebyshev-filtered subspace iteration
 from a fixed seed that returns only when every one of the top k Ritz pairs
 has a residual at the Gram route's own noise floor; otherwise the full
@@ -51,15 +58,10 @@ def _as_2d(a) -> np.ndarray:
     return arr
 
 
-def _require_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ContractViolationError("matrix entries must be finite")
-
-
 def as_matrix(a) -> np.ndarray:
     """Validate *a* as a finite 2-d float matrix and return it as float64."""
     arr = _as_2d(a)
-    _require_finite(arr)
+    _scale_exponent(arr)
     return arr
 
 
@@ -100,9 +102,13 @@ class SymEig:
 def _scale_exponent(a: np.ndarray) -> int:
     # the exponent e of the one scaling rule for every sum of squares: 0
     # when the exponent of max |a| lies in [0, _SAFE_EXP], else the one
-    # that brings max |a| into [0.5, 1).  It reads no copy of *a*, and
-    # non-finite data gets 0, so its sums stay non-finite.
-    e = math.frexp(max(float(a.max()), -float(a.min())))[1]
+    # that brings max |a| into [0.5, 1).  It reads no copy of *a*.  max and
+    # min propagate NaN and +-inf, so both are finite exactly when every
+    # entry is: this is the package's one finiteness check.
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ContractViolationError("matrix entries must be finite")
+    e = math.frexp(max(hi, -lo))[1]
     return 0 if 0 <= e <= _SAFE_EXP else e
 
 
@@ -169,7 +175,7 @@ def _top_eigh(g: np.ndarray, k: int, shape: tuple):
     Returns None, for the dense route, when the Gram side is below twice
     the block width, when about ``p / (2 * block)`` products of *g* have
     not certified or the estimated convergence rate says they will not,
-    and when the top Ritz value is not positive (zero or NaN input).
+    and when the top Ritz value is not positive (zero input).
     """
     p = g.shape[0]
     ell = k + _TOP_EIGH_EXTRA
@@ -226,7 +232,7 @@ def singular_values(a) -> np.ndarray:
     Eigenvalues below the route's resolution floor are zeroed, so exact
     rank deficiency comes out as exact zeros.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     m, n = a.shape
     c, e = _rescaled(a)
     gram = c.T @ c if n <= m else c @ c.T
@@ -265,7 +271,7 @@ def svd_top_k(a, k: int) -> SvdTopK:
     instead, with the same bits as a call that never tried.  Identical
     inputs give identical outputs on either route.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     m, n = a.shape
     if not 1 <= k <= min(m, n):
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
@@ -303,7 +309,7 @@ def frobenius_norm(a) -> float:
     huge or tiny data neither overflows nor underflows; a norm beyond the
     float64 range raises :class:`ContractViolationError`.
     """
-    c, e = _rescaled(as_matrix(a))
+    c, e = _rescaled(_as_2d(a))
     return _at_scale(float(np.linalg.norm(c)), e, "Frobenius norm")
 
 

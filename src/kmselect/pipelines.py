@@ -29,7 +29,7 @@ from .kmeans import (
     lloyd_best,
     objective,
 )
-from .linalg import _minus_product, approx_svd_z, as_matrix, svd_top_k
+from .linalg import _as_2d, _minus_product, approx_svd_z, svd_top_k
 from .sparsify import (
     SamplingPlan,
     _identity,
@@ -100,7 +100,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     plan.  Beyond the top-k solve, the call holds the 2m x n stacked
     residual, built in place, and O(n) scratch for the sampler's charges.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     m, n = a.shape
     _validate_window(k, r, n)
     if given.num_points != m:
@@ -127,7 +127,7 @@ def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
     memory and run on the sampler's diagonal path.  Identical inputs give
     an identical plan.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     _, n = a.shape
     _validate_window(k, r, n)
     top = svd_top_k(a, k)
@@ -171,9 +171,10 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     kept when :func:`~kmselect.linalg.svd_top_k` finds rank k in the sampled
     sketch; the same decomposition then drives the second stage.  A
     rank-deficient draw (probability at most 0.1) is retried up to three
-    times before :class:`RankFailureError` surfaces.
+    times before :class:`RankFailureError` surfaces.  Needs ``k >= 2``, as
+    :func:`~kmselect.linalg.approx_svd_z` does, and ``r > k``.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     _, n = a.shape
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
@@ -233,7 +234,7 @@ def select_then_cluster(
     Lloyd backend certifies no factor, so no bound verdict is emitted for
     it.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     m, n = a.shape
     if method not in METHODS:
         raise ArgumentError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, NumericalSearchError
-from .linalg import _as_2d, _require_finite, _scale_exponent, as_matrix
+from .linalg import _as_2d, _scale_exponent, as_matrix
 
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
@@ -315,12 +315,10 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     """
     v_rows = as_matrix(v_rows)
     b = _as_2d(b)
-    # the charges are ratios of squares: the one scaling rule keeps them
-    # finite at any scale, and exact wherever the squares stay normal.  So
-    # a column sum is finite exactly when its column is, and the n sums
-    # check b's entries with no mask of b.
+    # the charges are ratios of squares: the one scaling rule, which also
+    # checks that b is finite, keeps them finite at any scale, and exact
+    # wherever the squares stay normal
     col_sq = _column_sq_norms(b, _scale_exponent(b))
-    _require_finite(col_sq)
     k, n = v_rows.shape
     if b.shape[1] != n:
         raise ArgumentError(
@@ -355,7 +353,7 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
     k, n = v_rows.shape
     q = np.asarray(q, dtype=float)
     # n nonzeros, all of them unit diagonal entries: finite by construction,
-    # so the identity skips as_matrix's n x n finiteness mask
+    # so the identity skips as_matrix's read of its n x n extremes
     identity = q.shape == (n, n) and np.count_nonzero(q) == n and np.all(q.diagonal() == 1.0)
     if not identity:
         q = as_matrix(q)

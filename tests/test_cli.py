@@ -105,6 +105,16 @@ def test_synth_validation(tmp_path):
     assert run_cli("synth", "--m", 2, "--n", 3, "--k", 5, "--output", tmp_path / "x.csv") == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--noise", "nan"), ("--noise", "inf"), ("--separation", "nan"), ("--separation", "inf"),
+])
+def test_synth_rejects_non_finite_parameters_and_writes_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    assert run_cli("synth", "--m", 4, "--n", 3, "--k", 2, flag, value, "--output", out) == 1
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
@@ -192,6 +202,43 @@ def test_select_k_ge_r_message_names_precondition(tmp_path, capsys):
 
 def test_unknown_flag_is_validation_error():
     assert run_cli("select", "--frobnicate") == 1
+
+
+def test_select_non_finite_csv_is_a_validation_error(tmp_path, capsys):
+    path, _ = synth(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    for method in ("unsupervised", "randomized"):
+        assert run_cli("select", "--input", path, "--method", method, "--k", 2, "--r", 4) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+
+def test_select_randomized_needs_k_at_least_two(tmp_path, capsys):
+    path, _ = synth(tmp_path)
+    assert run_cli("select", "--input", path, "--method", "randomized",
+                   "--k", 1, "--r", 4, "--seed", 0) == 1
+    assert "k must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("select", "--method", "unsupervised", "--k", 2, "--r", 4),
+    ("cluster", "--k", 2),
+    ("synth", "--m", 4, "--n", 3, "--k", 2),
+    ("verify", "--suite", "sampler-two-bounds", "--trials", 1),
+])
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_invalid_seed_is_a_validation_error_on_every_command(tmp_path, capsys, command, seed):
+    path, _ = synth(tmp_path)
+    capsys.readouterr()
+    io = ("--output", tmp_path / "out") if command[0] in ("synth", "verify") else ("--input", path)
+    assert run_cli(*command, *io, "--seed", seed) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --seed: expected a non-negative integer")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
