@@ -26,8 +26,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError, SelectionError
-from .kmeans import brute_force_optimal, from_labels, lloyd_best, objective
-from .pipelines import select_then_cluster
+from .kmeans import from_labels, objective
+from .pipelines import BACKENDS, METHODS, _cluster, _needs_given, select_then_cluster
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _cmd_select(args) -> int:
     a = read_matrix_csv(args.input, args.has_header)
     m = a.shape[0]
     given = None
-    if args.method == "supervised":
+    if _needs_given(args.method):
         if args.labels is None:
             raise ArgumentError("supervised selection requires --labels")
         labels = read_labels(args.labels)
@@ -148,16 +148,14 @@ def _cmd_select(args) -> int:
 
 def _cmd_cluster(args) -> int:
     a = read_matrix_csv(args.input, args.has_header)
-    if args.backend == "brute":
-        c = brute_force_optimal(a, args.k)
-    else:
-        c = lloyd_best(a, args.k, restarts=args.restarts, seed=args.seed)
+    c, gamma = _cluster(a, args.k, args.backend, args.restarts, args.seed)
     report = {
         "command": "cluster",
         "timestamp": _timestamp(),
         "input": args.input,
         "backend": args.backend,
-        "restarts": args.restarts if args.backend == "lloyd" else None,
+        # restarts drive only the backend that certifies no factor
+        "restarts": args.restarts if gamma is None else None,
         "seed": args.seed,
         **c.to_dict(objective(a, c)),
     }
@@ -214,20 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     select = sub.add_parser("select", help="run a selection pipeline and cluster the result")
     add_io(select)
     select.add_argument("--labels", default=None, help="1-based labels file (supervised only)")
-    select.add_argument(
-        "--method", required=True, choices=("supervised", "unsupervised", "randomized")
-    )
+    select.add_argument("--method", required=True, choices=METHODS)
     select.add_argument("--k", type=int, required=True, help="number of clusters")
     select.add_argument("--r", type=int, required=True, help="number of features to select")
     select.add_argument("--seed", type=_seed, default=None)
-    select.add_argument("--backend", choices=("lloyd", "brute"), default="lloyd")
+    select.add_argument("--backend", choices=BACKENDS, default="lloyd")
     select.add_argument("--restarts", type=int, default=20)
 
     cluster = sub.add_parser("cluster", help="cluster without selection, for baselines")
     add_io(cluster)
     cluster.add_argument("--k", type=int, required=True)
     cluster.add_argument("--seed", type=_seed, default=None)
-    cluster.add_argument("--backend", choices=("lloyd", "brute"), default="lloyd")
+    cluster.add_argument("--backend", choices=BACKENDS, default="lloyd")
     cluster.add_argument("--restarts", type=int, default=20)
 
     synth = sub.add_parser("synth", help="generate a Gaussian-mixture dataset")

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError
-from .linalg import _as_2d, _at_scale, _rescaled
+from .linalg import _as_2d, _at_scale, _rescaled, _valid_seed
 
 _MAX_ITER = 300
 # Lloyd stops once a step lowers the cost by less than this, at the data's scale
@@ -172,6 +172,7 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
     squares overflow.
     """
     a = _checked(a, k)
+    _valid_seed(seed)
     return a[_kmeanspp(_rescaled(a)[0], k, seed)]
 
 
@@ -225,6 +226,11 @@ def _lloyd(p: _Points, k: int, centroids: np.ndarray, tol: float) -> tuple[np.nd
     return labels, obj
 
 
+def _require_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ArgumentError(f"need at least one restart, got {restarts}")
+
+
 def lloyd(a, k: int, seed: int | None = None) -> Clustering:
     """One k-means++-seeded Lloyd run: ``lloyd_best(a, k, 1, seed)``."""
     return lloyd_best(a, k, 1, seed)
@@ -246,10 +252,9 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     cost there, the value :func:`objective` gives.
     """
     a = _checked(a, k)
-    if restarts < 1:
-        raise ArgumentError(f"need at least one restart, got {restarts}")
+    _require_restarts(restarts)
+    base = _valid_seed(0 if seed is None else seed)
     b, e = _rescaled(a)
-    base = 0 if seed is None else seed
     with np.errstate(over="ignore"):  # saturates at inf, below which every decrease falls
         tol = float(np.ldexp(_TOL, -2 * e))
     p = _points(b)

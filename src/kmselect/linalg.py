@@ -58,6 +58,15 @@ def _as_2d(a) -> np.ndarray:
     return arr
 
 
+def _valid_seed(seed):
+    # the one seed rule, numpy's own: an integer >= 0, checked with a
+    # function's other arguments, before its matrix is read.  Where a
+    # signature defaults to None, the caller passes 0 for it.
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate *a* as a finite 2-d float matrix and return it as float64."""
     arr = _as_2d(a)
@@ -358,15 +367,19 @@ def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
     rank-k truncation of the projected problem; the oversampling and
     iteration counts comfortably over-deliver on that contract.  Raises
     :class:`RankDeficiencyError`, as :func:`svd_top_k` does, when the k-th
-    singular value of the sketch falls below the zero floor.
+    singular value of the sketch falls below the zero floor.  The sketch
+    is taken of *a* rescaled by the package's one scaling rule, which
+    leaves ``z`` as it is and keeps the products finite up to the top of
+    the float64 range.
     """
-    a = as_matrix(a)
+    a = _as_2d(a)
     m, n = a.shape
     if k < 2:
         raise ArgumentError(f"k must be at least 2, got {k}")
     if k > min(m, n):
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_valid_seed(seed))
+    a = _rescaled(a)[0]
     ell = min(k + 10, m, n)
     q = _orth(a @ rng.standard_normal((n, ell)))
     for _ in range(4):

@@ -10,6 +10,12 @@ quality guarantee back in the original space:
   optimal clustering (factor :func:`~kmselect.bounds.theorem2_factor`).
 * :func:`randomized_select` — two-stage randomized/deterministic hybrid
   (factor :func:`~kmselect.bounds.theorem3_factor`, probability 0.4).
+
+:func:`select_then_cluster` runs one of them by name and clusters the
+result with a named backend.  ``METHODS`` and ``BACKENDS`` hold the
+names, and this module is the one place a name is mapped to its
+pipeline, clustering backend and guarantee; the CLI and the verify
+suites go through it.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from .errors import ArgumentError, RankDeficiencyError, RankFailureError
 from .kmeans import (
     Clustering,
     _require_enumerable,
+    _require_restarts,
     brute_force_optimal,
     indicator,
     lloyd_best,
     objective,
 )
-from .linalg import _as_2d, _minus_product, approx_svd_z, svd_top_k
+from .linalg import _as_2d, _minus_product, _valid_seed, approx_svd_z, svd_top_k
 from .sparsify import (
     SamplingPlan,
     _identity,
@@ -80,6 +87,13 @@ def _validate_window(k: int, r: int, n: int) -> None:
         raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
 
 
+def _require_covers(given: Clustering, m: int) -> None:
+    if given.num_points != m:
+        raise ArgumentError(
+            f"clustering covers {given.num_points} points but the matrix has {m} rows"
+        )
+
+
 def _stacked_residual(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
     # [a - a v v.T ; a - x x.T a], x the indicator of *given*: the 2m x n
     # second set of supervised selection, each half written in place
@@ -103,10 +117,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     a = _as_2d(a)
     m, n = a.shape
     _validate_window(k, r, n)
-    if given.num_points != m:
-        raise ArgumentError(
-            f"clustering covers {given.num_points} points but the matrix has {m} rows"
-        )
+    _require_covers(given, m)
     if given.num_clusters != k:
         raise ArgumentError(
             f"clustering has {given.num_clusters} clusters, expected k={k}"
@@ -178,6 +189,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     _, n = a.shape
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
+    _valid_seed(seed)
     z = approx_svd_z(a, k, _child_seed(seed, 0))
     c = stage1_width(k, r)
     if c >= n:
@@ -215,6 +227,33 @@ METHODS = ("supervised", "unsupervised", "randomized")
 BACKENDS = ("lloyd", "brute")
 
 
+def _needs_given(method: str) -> bool:
+    # whether *method* selects around an input clustering
+    return method == "supervised"
+
+
+def _select(a, k: int, r: int, method: str, seed: int | None,
+            given: Clustering | None) -> FeatureSelection:
+    # the pipeline of *method*, the one place a method name picks one;
+    # *given* reaches only the method that needs it, and no seed means 0
+    if _needs_given(method):
+        if given is None:
+            raise ArgumentError("supervised selection requires an input clustering")
+        return supervised_select(a, given, k, r)
+    if method == "unsupervised":
+        return unsupervised_select(a, k, r)
+    return randomized_select(a, k, r, 0 if seed is None else seed)
+
+
+def _cluster(a, k: int, backend: str, restarts: int,
+             seed: int | None) -> tuple[Clustering, float | None]:
+    # the clustering of *backend* and the approximation factor gamma it
+    # certifies: 1 for the exhaustive search, None for heuristic Lloyd
+    if backend == "brute":
+        return brute_force_optimal(a, k), 1.0
+    return lloyd_best(a, k, restarts=restarts, seed=seed), None
+
+
 def select_then_cluster(
     a,
     k: int,
@@ -232,7 +271,7 @@ def select_then_cluster(
     and — when the backend certifies its approximation factor (exhaustive
     search, gamma = 1) — the matching guarantee check.  The heuristic
     Lloyd backend certifies no factor, so no bound verdict is emitted for
-    it.
+    it.  Every argument is checked before any selection work.
     """
     a = _as_2d(a)
     m, n = a.shape
@@ -240,22 +279,15 @@ def select_then_cluster(
         raise ArgumentError(f"unknown method {method!r}, expected one of {METHODS}")
     if backend not in BACKENDS:
         raise ArgumentError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
+    _valid_seed(0 if seed is None else seed)
     if backend == "brute":
         _require_enumerable(m)
-    if method == "supervised":
-        if given is None:
-            raise ArgumentError("supervised selection requires an input clustering")
-        fs = supervised_select(a, given, k, r)
-    elif method == "unsupervised":
-        fs = unsupervised_select(a, k, r)
     else:
-        fs = randomized_select(a, k, r, 0 if seed is None else seed)
-    if backend == "brute":
-        out = brute_force_optimal(fs.reduced, k)
-        gamma = 1.0
-    else:
-        out = lloyd_best(fs.reduced, k, restarts=restarts, seed=seed)
-        gamma = None
+        _require_restarts(restarts)
+    if given is not None:
+        _require_covers(given, m)
+    fs = _select(a, k, r, method, seed, given)
+    out, gamma = _cluster(fs.reduced, k, backend, restarts, seed)
     obj_reduced = objective(fs.reduced, out)
     obj_original = objective(a, out)
     report = {
@@ -280,19 +312,18 @@ def select_then_cluster(
         report["objective_input"] = objective(a, given)
     if gamma is not None:
         context = {"m": m, "n": n, "k": k, "r": r, "gamma": gamma, "seed": seed}
-        if method == "supervised":
+        if _needs_given(method):
             reference = report["objective_input"]
             factor = theorem1_factor(k, r, gamma)
-            name = "supervised-selection-bound"
         else:
             reference = objective(a, brute_force_optimal(a, k))
             if method == "unsupervised":
                 factor = theorem2_factor(n, k, r, gamma)
-                name = "unsupervised-selection-bound"
             else:
                 factor = theorem3_factor(k, r, gamma)
-                name = "randomized-selection-bound"
-        bound = bound_report(name, obj_original, factor * reference, factor, context)
+        bound = bound_report(
+            f"{method}-selection-bound", obj_original, factor * reference, factor, context
+        )
         report["bound"] = bound.to_dict()
         report["bound_holds"] = bound.holds
     return report

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericalSearchError
-from .linalg import _as_2d, _scale_exponent, as_matrix
+from .errors import ArgumentError, ContractViolationError, NumericalSearchError
+from .linalg import _as_2d, _scale_exponent, _valid_seed, as_matrix
 
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
@@ -85,14 +85,22 @@ def identity_plan(n: int) -> SamplingPlan:
 
 
 def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
-    """Gather and rescale columns of *a* according to *plan*."""
+    """Gather and rescale columns of *a* according to *plan*.
+
+    A weighted column beyond the float64 range raises
+    :class:`ContractViolationError`.
+    """
     a = as_matrix(a)
     if plan.source_dim != a.shape[1]:
         raise ArgumentError(
             f"plan covers {plan.source_dim} columns but the matrix has {a.shape[1]}"
         )
     idx = np.asarray(plan.indices, dtype=int) - 1
-    return a[:, idx] * np.asarray(plan.weights, dtype=float)
+    try:
+        with np.errstate(over="raise"):
+            return a[:, idx] * np.asarray(plan.weights, dtype=float)
+    except FloatingPointError:
+        raise ContractViolationError("the sampled matrix exceeds the float64 range") from None
 
 
 def leverage_scores(v_rows) -> np.ndarray:
@@ -376,11 +384,11 @@ def randomized_sampling(v_rows, r: int, seed: int) -> SamplingPlan:
     Frobenius norm of any rescaled sample an unbiased estimate of the
     source's.  Fully reproducible for a fixed seed.
     """
-    v_rows = as_matrix(v_rows)
+    v_rows = _as_2d(v_rows)
     if r < 1:
         raise ArgumentError(f"need r >= 1, got {r}")
+    rng = np.random.default_rng(_valid_seed(seed))
     p = leverage_scores(v_rows)
-    rng = np.random.default_rng(seed)
     draws = rng.choice(p.size, size=r, replace=True, p=p)
     weights = 1.0 / np.sqrt(p[draws] * r)
     return SamplingPlan(

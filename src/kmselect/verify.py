@@ -4,6 +4,23 @@ Each suite draws random instances from per-trial seeds (``seed + trial``),
 evaluates one guarantee, and reports pass counts with reproducer seeds.
 Deterministic guarantees require every trial to pass; probabilistic ones
 carry the fraction their statement promises.
+
+Where each verdict comes from:
+
+* the sampler suites compare the sampled spectrum and norms, from
+  :mod:`~kmselect.linalg`, with the sampler's stated floors and caps;
+* the three theorem suites judge the bound in the report of
+  :func:`~kmselect.pipelines.select_then_cluster` with the exhaustive
+  backend, its own factor times its own reference cost, against this
+  module's absolute slack ``CHECK_SLACK``;
+* the structural suite runs :func:`~kmselect.bounds.structural_check` on
+  the plan and basis of the pipeline the one dispatch picks;
+* the clustering and sketch suites compare Lloyd with the exhaustive
+  optimum, the two forms of the objective, and the sketch with the exact
+  singular values.
+
+Every trial works on one fixed instance shape; ``run_suite`` takes only a
+trial count and a seed.
 """
 
 from __future__ import annotations
@@ -14,11 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import theorem1_factor, theorem2_factor, theorem3_factor, structural_check
+from .bounds import structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
-from .linalg import approx_svd_z, frobenius_norm, sigma_k, svd_top_k
-from .pipelines import _stacked_residual, randomized_select, supervised_select, unsupervised_select
+from .linalg import _valid_seed, approx_svd_z, frobenius_norm, sigma_k, svd_top_k
+from .pipelines import _needs_given, _select, _stacked_residual, select_then_cluster
 from .sparsify import (
     _identity,
     apply_plan,
@@ -29,6 +46,14 @@ from .sparsify import (
 
 CHECK_SLACK = 1e-9
 MAX_REPORTED_FAILURES = 20
+# the fixed instances (m, n, k, r) of the per-seed trials: theorem 3's is
+# wide enough that its first stage samples 119 of the 300 columns
+_SAMPLER_ONE = (100, 200, 5, 20)
+_SAMPLER_TWO = (50, 100, 4, 16)
+_SMALL = (10, 8, 2, 4)
+_WIDE = (12, 300, 2, 6)
+# columns the leverage-score tail trial samples
+_TAIL_R = 240
 
 
 @dataclass(frozen=True)
@@ -97,8 +122,9 @@ def _summarize(
 # ---------------------------------------------------------------------------
 
 
-def sampler_one_trial(seed: int, m=100, n=200, k=5, r=20) -> dict:
+def sampler_one_trial(seed: int) -> dict:
     """Both deterministic Frobenius-capped sampler guarantees on one instance."""
+    m, n, k, r = _SAMPLER_ONE
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     top = svd_top_k(a, k)
@@ -120,8 +146,9 @@ def sampler_one_trial(seed: int, m=100, n=200, k=5, r=20) -> dict:
     }
 
 
-def sampler_two_trial(seed: int, m=50, n=100, k=4, r=16) -> dict:
+def sampler_two_trial(seed: int) -> dict:
     """Both deterministic spectrally-capped sampler guarantees on one instance."""
+    m, n, k, r = _SAMPLER_TWO
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     top = svd_top_k(a, k)
@@ -155,11 +182,11 @@ def _suite_randomized_expectation(trials: int, seed: int) -> tuple:
     return results, {"mean_ratio": mean_ratio, "tolerance": 0.05}, ok
 
 
-def randomized_tail_trial(seed: int, v_rows: np.ndarray, r=240) -> dict:
+def randomized_tail_trial(seed: int, v_rows: np.ndarray) -> dict:
     k = v_rows.shape[0]
-    plan = randomized_sampling(v_rows, r, seed)
+    plan = randomized_sampling(v_rows, _TAIL_R, seed)
     sig = sigma_k(apply_plan(v_rows, plan), k)
-    floor = 1.0 - math.sqrt(4.0 * k * math.log(20.0 * k) / r)
+    floor = 1.0 - math.sqrt(4.0 * k * math.log(20.0 * k) / _TAIL_R)
     return {"tail": sig * sig >= floor}
 
 
@@ -174,48 +201,34 @@ def _suite_randomized_tail(trials: int, seed: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def theorem1_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    given = brute_force_optimal(a, k)
-    fs = supervised_select(a, given, k, r)
-    out = brute_force_optimal(fs.reduced, k)
-    lhs = objective(a, out)
-    rhs = theorem1_factor(k, r, 1.0) * objective(a, given)
-    return {"bound": lhs <= rhs + CHECK_SLACK}
+def _theorem_trial(seed: int, method: str, shape: tuple) -> dict:
+    # select_then_cluster's own bound on one instance of *shape*, judged
+    # with this module's absolute slack; a method that selects around an
+    # input clustering is given the optimum
+    m, n, k, r = shape
+    a = np.random.default_rng(seed).standard_normal((m, n))
+    given = brute_force_optimal(a, k) if _needs_given(method) else None
+    bound = select_then_cluster(a, k, r, method, "brute", seed=seed, given=given)["bound"]
+    return {"bound": bound["lhs"] <= bound["rhs"] + CHECK_SLACK}
 
 
-def theorem2_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    fs = unsupervised_select(a, k, r)
-    out = brute_force_optimal(fs.reduced, k)
-    lhs = objective(a, out)
-    rhs = theorem2_factor(n, k, r, 1.0) * objective(a, brute_force_optimal(a, k))
-    return {"bound": lhs <= rhs + CHECK_SLACK}
+def theorem1_trial(seed: int) -> dict:
+    return _theorem_trial(seed, "supervised", _SMALL)
 
 
-def theorem3_trial(seed: int, m=12, n=300, k=2, r=6) -> dict:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    fs = randomized_select(a, k, r, seed)
-    out = brute_force_optimal(fs.reduced, k)
-    lhs = objective(a, out)
-    rhs = theorem3_factor(k, r, 1.0) * objective(a, brute_force_optimal(a, k))
-    return {"bound": lhs <= rhs + CHECK_SLACK}
+def theorem2_trial(seed: int) -> dict:
+    return _theorem_trial(seed, "unsupervised", _SMALL)
 
 
-def structural_trial(seed: int, m=10, n=8, k=2, r=4) -> dict:
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
+def theorem3_trial(seed: int) -> dict:
+    return _theorem_trial(seed, "randomized", _WIDE)
+
+
+def structural_trial(seed: int) -> dict:
+    m, n, k, r = _SMALL
+    a = np.random.default_rng(seed).standard_normal((m, n))
     opt = brute_force_optimal(a, k)
-    method = ("unsupervised", "supervised", "randomized")[seed % 3]
-    if method == "supervised":
-        fs = supervised_select(a, opt, k, r)
-    elif method == "unsupervised":
-        fs = unsupervised_select(a, k, r)
-    else:
-        fs = randomized_select(a, k, r, seed)
+    fs = _select(a, k, r, ("unsupervised", "supervised", "randomized")[seed % 3], seed, opt)
     out = brute_force_optimal(fs.reduced, k)
     report = structural_check(a, fs.basis, opt, out, fs.plan, 1.0)
     return {"applicable": report.context.get("applicable", False), "holds": report.holds}
@@ -385,4 +398,5 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     n = suite.default_trials if trials is None else int(trials)
     if n < 1:
         raise ArgumentError(f"need at least one trial, got {n}")
+    _valid_seed(seed)
     return _summarize(suite, seed, *suite.runner(n, seed))

@@ -1,10 +1,14 @@
+import argparse
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kmselect.cli import main, read_labels, read_matrix_csv, write_matrix_csv
+from kmselect import pipelines, verify
+from kmselect.cli import build_parser, main, read_labels, read_matrix_csv, write_matrix_csv
 from kmselect.kmeans import brute_force_optimal, from_labels, objective
 
 
@@ -294,3 +298,26 @@ def test_verify_known_suite(tmp_path):
 
 def test_verify_unknown_suite():
     assert run_cli("verify", "--suite", "does-not-exist") == 1
+
+
+# ---------------------------------------------------------------------------
+# drift between the code, the parser and the README
+# ---------------------------------------------------------------------------
+
+
+def _choices(command, flag):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+    return tuple(action.choices)
+
+
+def test_method_and_backend_choices_are_the_pipelines_tuples():
+    assert _choices("select", "--method") == pipelines.METHODS
+    assert _choices("select", "--backend") == pipelines.BACKENDS
+    assert _choices("cluster", "--backend") == pipelines.BACKENDS
+
+
+def test_readme_lists_exactly_the_verify_suites():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = re.search(r"^Available verify suites:(.*?)\n\n", readme, re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", line) == list(verify.SUITES)

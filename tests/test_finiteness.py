@@ -100,6 +100,8 @@ def test_every_call_in_the_table_runs_on_unspoiled_input(name):
 # each entry pairs a non-finite matrix with one invalid argument
 BAD_ARGUMENT = {
     "svd_top_k": lambda a: linalg.svd_top_k(a, 0),
+    "approx_svd_z": lambda a: linalg.approx_svd_z(a, 1, 0),
+    "randomized_sampling": lambda a: sparsify.randomized_sampling(a, 0, 0),
     "objective": lambda a: kmeans.objective(a, from_labels(np.arange(M + 1) % K + 1, K)),
     "lloyd_best": lambda a: kmeans.lloyd_best(a, M + 1, 2, 0),
     "lloyd_best.restarts": lambda a: kmeans.lloyd_best(a, K, 0, 0),

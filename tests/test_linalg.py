@@ -181,6 +181,18 @@ def test_power_of_two_scaling_changes_no_bit(rng):
             np.testing.assert_array_equal(scaled.v, top.v)
 
 
+def test_approx_svd_z_sketches_data_at_the_top_of_the_float64_range(rng):
+    # the sketch is taken of the rescaled input, so data whose products
+    # would overflow gives the subspace of its rescaled copy, bit for bit
+    for shape in [(12, 40), (40, 12), (20, 300)]:
+        a = rng.standard_normal(shape)
+        a *= 1.7e308 / np.abs(a).max()
+        e = math.frexp(np.abs(a).max())[1]
+        np.testing.assert_array_equal(
+            approx_svd_z(a, 2, seed=0), approx_svd_z(np.ldexp(a, -e), 2, seed=0)
+        )
+
+
 def test_rescaled_returns_ordinary_data_uncopied(rng):
     a = rng.standard_normal((9, 6)) * 1e3
     c, e = linalg._rescaled(a)

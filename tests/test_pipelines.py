@@ -1,12 +1,18 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from kmselect import pipelines
 from kmselect.bounds import theorem1_factor, theorem2_factor, theorem3_factor
-from kmselect.errors import ArgumentError, RankDeficiencyError, RankFailureError
+from kmselect.errors import (
+    ArgumentError,
+    ContractViolationError,
+    RankDeficiencyError,
+    RankFailureError,
+)
 from kmselect.kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
 from kmselect.linalg import residual, sigma_k, spectral_norm, svd_top_k
 from kmselect.pipelines import (
@@ -346,3 +352,44 @@ def test_report_validation_errors(rng):
         select_then_cluster(a, 2, 4, method="nope", backend="brute")
     with pytest.raises(ArgumentError):
         select_then_cluster(a, 2, 4, method="unsupervised", backend="nope")
+
+
+def test_report_checks_every_argument_before_any_selection_work(rng, monkeypatch):
+    a = rng.standard_normal((10, 8))
+    calls = []
+
+    def recorded(name):
+        original = getattr(pipelines, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd_top_k", "approx_svd_z"):
+        monkeypatch.setattr(pipelines, name, recorded(name))
+    given = brute_force_optimal(a, 2)
+    for method in pipelines.METHODS:
+        with pytest.raises(ArgumentError, match="restart"):
+            select_then_cluster(a, 2, 4, method, "lloyd", restarts=0, given=given)
+        with pytest.raises(ArgumentError, match="covers 10 points but the matrix has 9 rows"):
+            select_then_cluster(a[:9], 2, 4, method, "brute", given=given)
+    assert calls == []
+
+
+@pytest.mark.parametrize("top", [1.2e308, 1.7e308])
+def test_randomized_select_at_the_top_of_the_float64_range(top):
+    # the sketch is taken of the rescaled input; the one product that can
+    # still overflow, the weighted sample of the input, raises instead
+    for shape in [(12, 40), (40, 12), (20, 300)]:
+        a = np.random.default_rng(3).standard_normal(shape)
+        a *= top / np.abs(a).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fs = randomized_select(a, 2, 6, seed=0)
+            except ContractViolationError as exc:
+                assert "exceeds the float64 range" in str(exc)
+            else:
+                assert np.isfinite(fs.reduced).all()

@@ -1,0 +1,75 @@
+"""The one seed rule.
+
+Every public function that takes a seed accepts an integer >= 0 and
+nothing else, raising :class:`ArgumentError` before its matrix is read.
+Where the signature defaults to ``None``, ``None`` means 0; elsewhere
+``None`` is refused, so no call draws fresh entropy.
+"""
+
+import numpy as np
+import pytest
+
+from kmselect import kmeans, linalg, pipelines, sparsify, verify
+from kmselect.errors import ArgumentError
+
+M, N, K, R = 8, 10, 2, 4
+A = np.random.default_rng(7).standard_normal((M, N))
+Z = np.linalg.qr(np.random.default_rng(8).standard_normal((N, K)))[0]  # n x k, orthonormal
+
+# each entry: a function's matrix argument, and a call of the function
+# with that matrix and a seed; every other argument is valid
+CALLS = {
+    "approx_svd_z": (A, lambda a, seed: linalg.approx_svd_z(a, K, seed)),
+    "randomized_sampling": (Z.T, lambda v, seed: sparsify.randomized_sampling(v, R, seed)),
+    "kmeanspp_init": (A, lambda a, seed: kmeans.kmeanspp_init(a, K, seed)),
+    "lloyd": (A, lambda a, seed: kmeans.lloyd(a, K, seed)),
+    "lloyd_best": (A, lambda a, seed: kmeans.lloyd_best(a, K, 2, seed)),
+    "randomized_select": (A, lambda a, seed: pipelines.randomized_select(a, K, R, seed)),
+    "select_then_cluster": (A, lambda a, seed: pipelines.select_then_cluster(
+        a, K, R, "randomized", "lloyd", seed=seed, restarts=2)),
+    "run_suite": (None, lambda _, seed: verify.run_suite(
+        "sampler-two-bounds", trials=1, seed=seed)),
+}
+# the functions whose seed defaults to None
+NONE_IS_ZERO = {"lloyd", "lloyd_best", "select_then_cluster"}
+
+
+def call(name, seed, spoil=False):
+    matrix, fn = CALLS[name]
+    if spoil and matrix is not None:
+        matrix = matrix.copy()
+        matrix[0, 0] = np.nan
+    return fn(matrix, seed)
+
+
+def comparable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, pipelines.FeatureSelection):
+        return value.to_dict(), value.reduced.tolist()
+    # a report, which also echoes the seed as given
+    if isinstance(value, dict) and "clustering" in value:
+        return value["selection"]["plan"], value["clustering"]
+    return value
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_bad_seed_is_an_argument_error_before_the_matrix_is_read(name, seed):
+    # the matrix holds a NaN, which the finiteness check would report
+    with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+        call(name, seed, spoil=True)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_none_means_zero_only_where_it_is_the_default(name):
+    if name in NONE_IS_ZERO:
+        assert comparable(call(name, None)) == comparable(call(name, 0))
+    else:
+        with pytest.raises(ArgumentError, match="got None"):
+            call(name, None)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_numpy_integer_seed_is_an_integer(name):
+    assert comparable(call(name, np.int64(3))) == comparable(call(name, 3))

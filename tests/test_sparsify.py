@@ -71,6 +71,13 @@ def test_apply_plan_matches_gather_and_scale_oracle(rng):
         np.testing.assert_array_equal(got[:, j], a[:, idx[j] - 1] * w[j])
 
 
+def test_apply_plan_beyond_the_float64_range_is_a_contract_violation():
+    a = np.array([[1e308, 1.0], [-1e308, 2.0]])
+    with pytest.raises(ContractViolationError, match="exceeds the float64 range"):
+        apply_plan(a, SamplingPlan(2, 2, (2, 1), (1.0, 2.0)))
+    np.testing.assert_array_equal(apply_plan(a, SamplingPlan(2, 1, (1,), (0.5,))), a[:, :1] / 2)
+
+
 def test_apply_plan_dimension_mismatch(rng):
     with pytest.raises(ArgumentError):
         apply_plan(rng.standard_normal((3, 4)), identity_plan(5))
