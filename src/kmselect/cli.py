@@ -120,17 +120,12 @@ def _emit_report(report: dict, output: str) -> None:
 
 def _cmd_select(args) -> int:
     a = read_matrix_csv(args.input, args.has_header)
-    m = a.shape[0]
     given = None
     if _needs_given(args.method):
         if args.labels is None:
             raise ArgumentError("supervised selection requires --labels")
-        labels = read_labels(args.labels)
-        if len(labels) != m:
-            raise ArgumentError(
-                f"{len(labels)} labels for {m} points"
-            )
-        given = from_labels(labels, args.k)
+        # select_then_cluster refuses labels that do not cover the matrix
+        given = from_labels(read_labels(args.labels), args.k)
     report = select_then_cluster(
         a,
         args.k,

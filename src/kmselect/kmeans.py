@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError
-from .linalg import _as_2d, _at_scale, _rescaled, _valid_seed
+from .linalg import _as_2d, _at_scale, _rescaled, _valid_int, _valid_seed
 
 _MAX_ITER = 300
 # Lloyd stops once a step lowers the cost by less than this, at the data's scale
@@ -136,7 +136,7 @@ def _checked(a, k: int) -> np.ndarray:
     # rescale checks them
     a = _as_2d(a)
     m = a.shape[0]
-    if not 1 <= k <= m:
+    if not 1 <= _valid_int(k, "k") <= m:
         raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
     return a
 
@@ -227,7 +227,7 @@ def _lloyd(p: _Points, k: int, centroids: np.ndarray, tol: float) -> tuple[np.nd
 
 
 def _require_restarts(restarts: int) -> None:
-    if restarts < 1:
+    if _valid_int(restarts, "restarts") < 1:
         raise ArgumentError(f"need at least one restart, got {restarts}")
 
 

@@ -67,6 +67,15 @@ def _valid_seed(seed):
     return seed
 
 
+def _valid_int(x, what: str):
+    # the one integer rule for k, r, restarts and trials: a Python or numpy
+    # integer, checked, as the seed is, before a function's matrix is read;
+    # each function keeps its own range check
+    if not isinstance(x, (int, np.integer)):
+        raise ArgumentError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate *a* as a finite 2-d float matrix and return it as float64."""
     arr = _as_2d(a)
@@ -282,7 +291,7 @@ def svd_top_k(a, k: int) -> SvdTopK:
     """
     a = _as_2d(a)
     m, n = a.shape
-    if not 1 <= k <= min(m, n):
+    if not 1 <= _valid_int(k, "k") <= min(m, n):
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
     # the smaller Gram matrix: of a's columns when tall, of its rows when wide
     b = a if n <= m else a.T
@@ -329,6 +338,7 @@ def spectral_norm(a) -> float:
 
 def sigma_k(a, k: int) -> float:
     """k-th largest singular value (zero if the rank is below k)."""
+    _valid_int(k, "k")
     s = singular_values(a)
     if not 1 <= k <= s.size:
         raise ArgumentError(f"k={k} out of range, matrix has {s.size} singular values")
@@ -374,7 +384,7 @@ def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
     """
     a = _as_2d(a)
     m, n = a.shape
-    if k < 2:
+    if _valid_int(k, "k") < 2:
         raise ArgumentError(f"k must be at least 2, got {k}")
     if k > min(m, n):
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")

@@ -36,7 +36,7 @@ from .kmeans import (
     lloyd_best,
     objective,
 )
-from .linalg import _as_2d, _minus_product, _valid_seed, approx_svd_z, svd_top_k
+from .linalg import _as_2d, _minus_product, _valid_int, _valid_seed, approx_svd_z, svd_top_k
 from .sparsify import (
     SamplingPlan,
     _identity,
@@ -83,7 +83,7 @@ class FeatureSelection:
 
 
 def _validate_window(k: int, r: int, n: int) -> None:
-    if not k < r < n:
+    if not _valid_int(k, "k") < _valid_int(r, "r") < n:
         raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
 
 
@@ -134,9 +134,9 @@ def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
     """Deterministically select r columns without any label information.
 
     Runs the spectrally-capped dual-set sampler against the top-k right
-    singular subspace with the identity as the second set, held in O(n)
-    memory and run on the sampler's diagonal path.  Identical inputs give
-    an identical plan.
+    singular subspace with the n x n identity as the second set, the one
+    second set that sampler takes, held in O(n) memory.  Identical inputs
+    give an identical plan.
     """
     a = _as_2d(a)
     _, n = a.shape
@@ -187,7 +187,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     """
     a = _as_2d(a)
     _, n = a.shape
-    if r <= k:
+    if _valid_int(r, "r") <= _valid_int(k, "k"):
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
     _valid_seed(seed)
     z = approx_svd_z(a, k, _child_seed(seed, 0))

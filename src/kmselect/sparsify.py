@@ -6,10 +6,10 @@ Three ways to pick and rescale ``r`` columns of an n-column matrix:
   lower barrier on the spectrum of one vector set while a static Frobenius
   budget caps a second set.
 * :func:`deterministic_sampling_two` — greedy dual-set selection with a
-  moving upper spectral barrier on the second set.  An exact identity
-  second set is recognised from its entries, with no n x n product, and
-  runs on a diagonal accumulator; the pipelines pass :func:`_identity`,
-  which holds it in 2n - 1 floats.
+  moving upper spectral barrier on the n x n identity, the second set of
+  the paper's unsupervised algorithm.  It takes no other second set, and
+  its accumulator stays diagonal; the pipelines pass :func:`_identity`,
+  which holds the identity in 2n - 1 floats.
 * :func:`randomized_sampling` — i.i.d. leverage-score sampling.
 
 Both greedy samplers score candidates with one closed-form barrier gain,
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, NumericalSearchError
-from .linalg import _as_2d, _scale_exponent, _valid_seed, as_matrix
+from .linalg import _as_2d, _scale_exponent, _valid_int, _valid_seed, as_matrix
 
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
@@ -128,11 +128,6 @@ def _require_orthonormal_rows(mat: np.ndarray, what: str) -> None:
         raise ArgumentError(f"{what} must have orthonormal rows (deviation {err:.2e})")
 
 
-def upper_shift(ell2: int, k: int, r: int) -> float:
-    """Additive step of the upper spectral barrier for an ell2-dim second set."""
-    return (1.0 + math.sqrt(ell2 / r)) / (1.0 - math.sqrt(k / r))
-
-
 def _gains(lam: np.ndarray, g2, barrier: float, shifted: float, tau: int) -> np.ndarray:
     """Closed-form barrier gain of every candidate column.
 
@@ -147,7 +142,8 @@ def _gains(lam: np.ndarray, g2, barrier: float, shifted: float, tau: int) -> np.
     the spectrum lies above both and the score caps ``1/t`` from above; on
     the upper side it lies below both and the score caps ``1/t`` from
     below.  ``g2=None`` stands for the identity: the candidates are the
-    eigenvectors themselves.
+    eigenvectors themselves.  The upper side, whose second set is the
+    identity, takes that form; the lower side passes its dense ``g2``.
     """
     d = lam - shifted
     inv = 1.0 / d
@@ -179,37 +175,27 @@ class _FrobeniusUpper:
 
 
 class _SpectralUpper:
-    """Upper-barrier bookkeeping for an orthonormal-row second set *q*.
+    """Upper-barrier bookkeeping for the n x n identity as the second set.
 
-    ``q=None`` stands for the n x n identity.  Rank-one updates with
-    standard basis vectors keep its accumulator diagonal, so the spectrum
-    is the diagonal itself and the candidate scan costs O(n) per iteration
-    instead of an eigendecomposition and an ell2 x n product.
+    Rank-one updates with standard basis vectors keep the accumulator
+    diagonal, so its spectrum is the diagonal itself, the candidates are
+    its eigenvectors, and the scan costs O(n) per iteration.  The barrier
+    starts at ``delta * sqrt(n r)`` and moves by
+    ``delta = (1 + sqrt(n/r)) / (1 - sqrt(k/r))`` per step.
     """
 
-    def __init__(self, q, n: int, k: int, r: int):
-        self.q = q
-        ell2 = n if q is None else q.shape[0]
-        self.accum = np.zeros(n) if q is None else np.zeros((ell2, ell2))
-        self.delta = upper_shift(ell2, k, r)
-        self._offset = math.sqrt(ell2 * r)
+    def __init__(self, n: int, k: int, r: int):
+        self.accum = np.zeros(n)
+        self.delta = (1.0 + math.sqrt(n / r)) / (1.0 - math.sqrt(k / r))
+        self._offset = math.sqrt(n * r)
 
     def values(self, tau: int) -> np.ndarray:
         u = self.delta * (tau + self._offset)
-        if self.q is None:
-            lam, g2 = self.accum, None
-        else:
-            lam, vecs = np.linalg.eigh(self.accum)
-            g2 = np.square(vecs.T @ self.q)
-        _check_upper_barrier(float(lam.max()), u, tau)
-        return _gains(lam, g2, u, u + self.delta, tau)
+        _check_upper_barrier(float(self.accum.max()), u, tau)
+        return _gains(self.accum, None, u, u + self.delta, tau)
 
     def add(self, index: int, t: float) -> None:
-        if self.q is None:
-            self.accum[index] += t
-        else:
-            qi = self.q[:, index]
-            self.accum += t * np.outer(qi, qi)
+        self.accum[index] += t
 
 
 def _check_lower_barrier(lam_min: float, barrier: float, tau: int) -> None:
@@ -321,6 +307,7 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     over blocks of rows, so a C-ordered *b* costs O(n) scratch at any
     scale.  The output is a pure function of the inputs.
     """
+    _valid_int(r, "r")
     v_rows = as_matrix(v_rows)
     b = _as_2d(b)
     # the charges are ratios of squares: the one scaling rule, which also
@@ -343,36 +330,34 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
 
 
 def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
-    """Deterministic dual-set selection with a spectral cap on *q*.
+    """Deterministic dual-set selection with a spectral cap on the identity.
 
-    *v_rows* is k x n with orthonormal rows; *q* is ell2 x n, also with
-    orthonormal rows.  The returned plan satisfies
+    *v_rows* is k x n with orthonormal rows and *q* must be the n x n
+    identity, the second set of the paper's decomposition of the identity.
+    The returned plan satisfies
 
         sigma_k(v_rows applied)  >=  1 - sqrt(k/r)
-        ||q applied||_2          <=  1 + sqrt(ell2/r)
+        ||identity applied||_2   <=  1 + sqrt(n/r)
 
-    When *q* is exactly the n x n identity (square, n nonzeros, unit
-    diagonal) it is recognised without any n x n temporary, skips the
-    finiteness and orthonormality checks it passes by construction, and
-    the accumulator stays diagonal, so the candidate scan runs in O(n) per
-    iteration.  The output is a pure function of the inputs.
+    The identity is recognised from its entries (square, n nonzeros, unit
+    diagonal) with no n x n temporary; any other *q* raises
+    :class:`ArgumentError`, or :class:`ContractViolationError` when it is
+    not finite.  The accumulator stays diagonal, so the candidate scan runs
+    in O(n) per iteration.  The output is a pure function of the inputs.
     """
+    _valid_int(r, "r")
     v_rows = as_matrix(v_rows)
     k, n = v_rows.shape
     q = np.asarray(q, dtype=float)
     # n nonzeros, all of them unit diagonal entries: finite by construction,
     # so the identity skips as_matrix's read of its n x n extremes
-    identity = q.shape == (n, n) and np.count_nonzero(q) == n and np.all(q.diagonal() == 1.0)
-    if not identity:
-        q = as_matrix(q)
-        if q.shape[1] != n:
-            raise ArgumentError(f"second set has {q.shape[1]} columns, expected {n}")
+    if not (q.shape == (n, n) and np.count_nonzero(q) == n and np.all(q.diagonal() == 1.0)):
+        as_matrix(q)
+        raise ArgumentError("q must be the n x n identity")
     _require_orthonormal_rows(v_rows, "v_rows")
-    if not identity:
-        _require_orthonormal_rows(q, "q")
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    picked, t_vals = _dual_set_loop(v_rows, r, _SpectralUpper(None if identity else q, n, k, r))
+    picked, t_vals = _dual_set_loop(v_rows, r, _SpectralUpper(n, k, r))
     return _finish_plan(n, r, k, picked, t_vals)
 
 
@@ -385,7 +370,7 @@ def randomized_sampling(v_rows, r: int, seed: int) -> SamplingPlan:
     source's.  Fully reproducible for a fixed seed.
     """
     v_rows = _as_2d(v_rows)
-    if r < 1:
+    if _valid_int(r, "r") < 1:
         raise ArgumentError(f"need r >= 1, got {r}")
     rng = np.random.default_rng(_valid_seed(seed))
     p = leverage_scores(v_rows)

@@ -153,6 +153,19 @@ def test_select_supervised_uses_labels(tmp_path):
     assert "objective_input" in report
 
 
+def test_select_labels_one_line_short_is_a_validation_error(tmp_path, capsys):
+    path, labels_path = synth(tmp_path)
+    short = tmp_path / "short.labels"
+    short.write_text("".join(labels_path.read_text().splitlines(keepends=True)[:-1]))
+    code = run_cli(
+        "select", "--input", path, "--labels", short, "--method", "supervised",
+        "--k", 2, "--r", 4, "--backend", "brute", "--output", tmp_path / "report.json",
+    )
+    assert code == 1
+    assert "clustering covers 9 points but the matrix has 10 rows" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_select_randomized_seed_reproducible(tmp_path):
     path, _ = synth(tmp_path)
     outs = []

@@ -1,9 +1,10 @@
-"""The one seed rule.
+"""The one seed rule, and the one integer rule beside it.
 
 Every public function that takes a seed accepts an integer >= 0 and
 nothing else, raising :class:`ArgumentError` before its matrix is read.
 Where the signature defaults to ``None``, ``None`` means 0; elsewhere
-``None`` is refused, so no call draws fresh entropy.
+``None`` is refused, so no call draws fresh entropy.  The counts ``k``,
+``r``, ``restarts`` and ``trials`` must be integers in the same way.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from kmselect import kmeans, linalg, pipelines, sparsify, verify
 from kmselect.errors import ArgumentError
+from kmselect.kmeans import from_labels
 
 M, N, K, R = 8, 10, 2, 4
 A = np.random.default_rng(7).standard_normal((M, N))
@@ -45,6 +47,8 @@ def call(name, seed, spoil=False):
 def comparable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, linalg.SvdTopK):
+        return value.u.tolist(), value.s.tolist(), value.v.tolist()
     if isinstance(value, pipelines.FeatureSelection):
         return value.to_dict(), value.reduced.tolist()
     # a report, which also echoes the seed as given
@@ -73,3 +77,50 @@ def test_none_means_zero_only_where_it_is_the_default(name):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_a_numpy_integer_seed_is_an_integer(name):
     assert comparable(call(name, np.int64(3))) == comparable(call(name, 3))
+
+
+GIVEN = from_labels(np.arange(M) % K + 1, K)
+# each entry: a function's matrix argument, and a call of the function
+# with that matrix and one count argument; every other argument is valid
+COUNTS = {
+    "svd_top_k.k": (A, lambda a, x: linalg.svd_top_k(a, x)),
+    "sigma_k.k": (A, lambda a, x: linalg.sigma_k(a, x)),
+    "approx_svd_z.k": (A, lambda a, x: linalg.approx_svd_z(a, x, 0)),
+    "deterministic_sampling_one.r": (Z.T, lambda v, x: sparsify.deterministic_sampling_one(
+        v, A, x)),
+    "deterministic_sampling_two.r": (Z.T, lambda v, x: sparsify.deterministic_sampling_two(
+        v, np.eye(N), x)),
+    "randomized_sampling.r": (Z.T, lambda v, x: sparsify.randomized_sampling(v, x, 0)),
+    "kmeanspp_init.k": (A, lambda a, x: kmeans.kmeanspp_init(a, x, 0)),
+    "lloyd_best.k": (A, lambda a, x: kmeans.lloyd_best(a, x, 2, 0)),
+    "lloyd_best.restarts": (A, lambda a, x: kmeans.lloyd_best(a, K, x, 0)),
+    "brute_force_optimal.k": (A, lambda a, x: kmeans.brute_force_optimal(a, x)),
+    "supervised_select.r": (A, lambda a, x: pipelines.supervised_select(a, GIVEN, K, x)),
+    "unsupervised_select.k": (A, lambda a, x: pipelines.unsupervised_select(a, x, R)),
+    "unsupervised_select.r": (A, lambda a, x: pipelines.unsupervised_select(a, K, x)),
+    "randomized_select.k": (A, lambda a, x: pipelines.randomized_select(a, x, R, 0)),
+    "randomized_select.r": (A, lambda a, x: pipelines.randomized_select(a, K, x, 0)),
+    "select_then_cluster.restarts": (A, lambda a, x: pipelines.select_then_cluster(
+        a, K, R, "unsupervised", "lloyd", restarts=x)),
+    "run_suite.trials": (None, lambda _, x: verify.run_suite(
+        "sampler-two-bounds", trials=x, seed=0)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_a_non_integer_count_is_an_argument_error_before_the_matrix_is_read(name, value):
+    matrix, fn = COUNTS[name]
+    if matrix is not None:
+        # a NaN, which the finiteness check would report
+        matrix = matrix.copy()
+        matrix[0, 0] = np.nan
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        fn(matrix, value)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_a_numpy_integer_count_is_an_integer(name):
+    matrix, fn = COUNTS[name]
+    value = 1 if name == "run_suite.trials" else 3
+    assert comparable(fn(matrix, np.int64(value))) == comparable(fn(matrix, value))

@@ -198,16 +198,15 @@ def test_lower_gain_barrier_violation(rng):
 
 
 def test_upper_gain_spec_barrier_violation():
-    # both forms of the spectral upper side report the crossing with lambda_max
+    # the spectral upper side reports the crossing with lambda_max
     n, k, r = 4, 1, 2
-    for q in (None, np.eye(n)):
-        upper = sparsify._SpectralUpper(q, n, k, r)
-        upper.add(2, 1e6)
-        with pytest.raises(NumericalSearchError, match="upper barrier crossed") as err:
-            upper.values(0)
-        assert err.value.step == 0
-        assert err.value.diagnostics["lambda_max"] == pytest.approx(1e6, rel=1e-12)
-        assert err.value.diagnostics["barrier"] == upper.delta * math.sqrt(n * r)
+    upper = sparsify._SpectralUpper(n, k, r)
+    upper.add(2, 1e6)
+    with pytest.raises(NumericalSearchError, match="upper barrier crossed") as err:
+        upper.values(0)
+    assert err.value.step == 0
+    assert err.value.diagnostics["lambda_max"] == 1e6
+    assert err.value.diagnostics["barrier"] == upper.delta * math.sqrt(n * r)
 
 
 def test_no_admissible_column_reports_diagnostics(rng):
@@ -296,11 +295,11 @@ def test_sampler_one_argument_errors(rng):
 
 
 def _check_sampler_two(v_rows, q, r):
-    k, ell2 = v_rows.shape[0], q.shape[0]
+    k, n = v_rows.shape
     plan = deterministic_sampling_two(v_rows, q, r)
     sig = sigma_k(apply_plan(v_rows, plan), k)
     assert sig >= 1.0 - math.sqrt(k / r) - 1e-9
-    assert spectral_norm(apply_plan(q, plan)) <= 1.0 + math.sqrt(ell2 / r) + 1e-9
+    assert spectral_norm(apply_plan(q, plan)) <= 1.0 + math.sqrt(n / r) + 1e-9
     return plan
 
 
@@ -317,14 +316,6 @@ def test_sampler_two_smallest_admissible_r(rng):
     assert sigma_k(apply_plan(v_rows, plan), 2) >= 1.0 - math.sqrt(2.0 / 3.0) - 1e-9
 
 
-def test_sampler_two_dense_q_path(rng):
-    # a non-identity second set exercises the dense accumulator
-    n = 24
-    v_rows = orthonormal_rows(rng, 2, n)
-    q = orthonormal_rows(rng, 3, n)
-    _check_sampler_two(v_rows, q, 6)
-
-
 def test_sampler_two_deterministic(rng):
     n = 40
     v_rows = orthonormal_rows(rng, 3, n)
@@ -333,14 +324,33 @@ def test_sampler_two_deterministic(rng):
     )
 
 
+class _DenseSpectralUpper:
+    # the upper side on an explicit second set q: an ell2 x ell2
+    # accumulator, and candidates scored in the eigenbasis of each step
+    def __init__(self, q, k, r):
+        ell2 = q.shape[0]
+        self.q = q
+        self.accum = np.zeros((ell2, ell2))
+        self.delta = (1.0 + math.sqrt(ell2 / r)) / (1.0 - math.sqrt(k / r))
+        self._offset = math.sqrt(ell2 * r)
+
+    def values(self, tau):
+        u = self.delta * (tau + self._offset)
+        lam, vecs = np.linalg.eigh(self.accum)
+        sparsify._check_upper_barrier(float(lam.max()), u, tau)
+        return sparsify._gains(lam, np.square(vecs.T @ self.q), u, u + self.delta, tau)
+
+    def add(self, index, t):
+        qi = self.q[:, index]
+        self.accum += t * np.outer(qi, qi)
+
+
 def test_sampler_two_identity_fast_path_matches_dense(rng):
-    # same instance through the diagonal and dense accumulators
+    # same instance through the diagonal accumulator and a dense oracle
     n = 30
     v_rows = orthonormal_rows(rng, 3, n)
     fast = deterministic_sampling_two(v_rows, np.eye(n), 8)
-    picked, t_vals = sparsify._dual_set_loop(
-        v_rows, 8, sparsify._SpectralUpper(np.eye(n), n, 3, 8)
-    )
+    picked, t_vals = sparsify._dual_set_loop(v_rows, 8, _DenseSpectralUpper(np.eye(n), 3, 8))
     dense = sparsify._finish_plan(n, 8, 3, picked, t_vals)
     assert fast.indices == dense.indices
     np.testing.assert_allclose(fast.weights, dense.weights, rtol=1e-9)
@@ -448,18 +458,27 @@ def test_sampler_two_nonfinite_second_set_is_rejected(rng, value, where):
 
 
 def test_sampler_two_almost_identity_is_validated(rng):
-    # the identity shortcut fires only on the exact identity
+    # only the exact identity is taken for the identity
     n = 30
     q = np.eye(n)
     q[0, 1] = 1e-3
-    with pytest.raises(ArgumentError, match="q must have orthonormal rows"):
+    with pytest.raises(ArgumentError, match="q must be the n x n identity"):
         deterministic_sampling_two(orthonormal_rows(rng, 3, n), q, 6)
+
+
+def test_sampler_two_refuses_every_second_set_but_the_identity(rng):
+    # orthonormal rows are not enough: the identity is the one second set
+    n = 12
+    v_rows = orthonormal_rows(rng, 2, n)
+    for q in (orthonormal_rows(rng, 3, n), np.eye(n)[rng.permutation(n)], np.eye(n - 1)):
+        with pytest.raises(ArgumentError, match="q must be the n x n identity"):
+            deterministic_sampling_two(v_rows, q, 6)
 
 
 @pytest.mark.parametrize("trial", range(12))
 def test_samplers_hold_on_varied_shapes(trial):
     # sizes well away from the standard test family: r near k+1, r near n,
-    # tall and wide second sets
+    # tall and wide second sets for sampler one
     local = np.random.default_rng(7000 + trial)
     n = int(local.integers(6, 80))
     k = int(local.integers(1, min(6, n - 1)))
@@ -469,9 +488,7 @@ def test_samplers_hold_on_varied_shapes(trial):
         b = local.standard_normal((int(local.integers(1, 10)), n)) * 7.0
         _check_sampler_one(v_rows, b, r)
     else:
-        ell2 = int(local.integers(1, n + 1))
-        q = np.eye(n) if trial % 4 == 1 else orthonormal_rows(local, ell2, n)
-        _check_sampler_two(v_rows, q, r)
+        _check_sampler_two(v_rows, np.eye(n), r)
 
 
 def test_sampler_two_argument_errors(rng):
