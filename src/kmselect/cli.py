@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical/pipeline error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -79,11 +78,17 @@ def read_matrix_csv(path: str, has_header: bool) -> np.ndarray:
 
 
 def write_matrix_csv(path: str, a: np.ndarray) -> None:
-    """Write a matrix as CSV using shortest round-trip decimal form."""
+    """Write a matrix as CSV using shortest round-trip decimal form.
+
+    The bytes are those of ``csv.writer`` on ``repr(float(x))`` cells:
+    such a cell holds no comma, quote or line break, so a row is its
+    cells joined by commas and ended by the excel dialect's ``\\r\\n``.
+    Each row becomes Python floats on its own, so the writer holds one
+    row of them, not the whole matrix.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in a:
-            writer.writerow([repr(float(x)) for x in row])
+        for row in np.asarray(a, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def read_labels(path: str) -> list[int]:

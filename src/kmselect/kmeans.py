@@ -77,9 +77,16 @@ class Clustering:
 
 
 def from_labels(labels, num_clusters: int | None = None) -> Clustering:
-    """Build a Clustering from an iterable of 1-based labels."""
-    labels = [int(x) for x in labels]
-    k = max(labels) if num_clusters is None else int(num_clusters)
+    """Build a Clustering from an iterable of 1-based integer labels.
+
+    Labels and *num_clusters* follow the one integer rule: a float or a
+    string raises :class:`ArgumentError`, never a truncation.
+    """
+    labels = [int(_valid_int(x, "label")) for x in labels]
+    if num_clusters is None:
+        k = max(labels, default=0)
+    else:
+        k = int(_valid_int(num_clusters, "num_clusters"))
     return Clustering(num_points=len(labels), num_clusters=k, assignment=tuple(labels))
 
 

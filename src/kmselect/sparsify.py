@@ -9,7 +9,9 @@ Three ways to pick and rescale ``r`` columns of an n-column matrix:
   moving upper spectral barrier on the n x n identity, the second set of
   the paper's unsupervised algorithm.  It takes no other second set, and
   its accumulator stays diagonal; the pipelines pass :func:`_identity`,
-  which holds the identity in 2n - 1 floats.
+  which holds the identity in 2n - 1 floats, and the sampler recognises
+  that view from those 2n - 1 entries in O(n) (a dense identity costs
+  one n^2 scan).
 * :func:`randomized_sampling` — i.i.d. leverage-score sampling.
 
 Both greedy samplers score candidates with one closed-form barrier gain,
@@ -274,6 +276,22 @@ def _identity(n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(spike, n)[::-1]
 
 
+def _is_identity(q: np.ndarray, n: int) -> bool:
+    # Whether q equals the n x n identity, read through the entries q stores.
+    # With opposite strides, the layout of _identity, q[i, j] lies at offset
+    # (j - i) * strides[1]: q is Toeplitz, and its first column and first
+    # row hold all 2n - 1 entries it stores.  Other layouts take one n^2
+    # scan.  NaN counts as a nonzero, so the identity (n nonzeros, all of
+    # them unit diagonal entries) is finite by construction and skips
+    # as_matrix's read of its n x n extremes.
+    if q.shape != (n, n):
+        return False
+    if q.strides[0] == -q.strides[1]:
+        return (bool(q[0, 0] == 1.0) and np.count_nonzero(q[:, 0]) == 1
+                and np.count_nonzero(q[0]) == 1)
+    return np.count_nonzero(q) == n and bool(np.all(q.diagonal() == 1.0))
+
+
 def _column_sq_norms(c: np.ndarray, e: int) -> np.ndarray:
     # np.square(c * 2**-e).sum(axis=0), bit for bit, in O(n) scratch.  numpy
     # adds the rows of a C-ordered matrix of two or more columns one after
@@ -339,19 +357,19 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
         sigma_k(v_rows applied)  >=  1 - sqrt(k/r)
         ||identity applied||_2   <=  1 + sqrt(n/r)
 
-    The identity is recognised from its entries (square, n nonzeros, unit
-    diagonal) with no n x n temporary; any other *q* raises
-    :class:`ArgumentError`, or :class:`ContractViolationError` when it is
-    not finite.  The accumulator stays diagonal, so the candidate scan runs
-    in O(n) per iteration.  The output is a pure function of the inputs.
+    The identity is recognised from the entries *q* stores, with no n x n
+    temporary: the :func:`_identity` view stores 2n - 1, so its check is
+    O(n), while a dense ``np.eye(n)`` costs one n^2 scan.  Any other *q*
+    raises :class:`ArgumentError`, or :class:`ContractViolationError`
+    when it is not finite.  The accumulator stays diagonal, so the
+    candidate scan runs in O(n) per iteration.  The output is a pure
+    function of the inputs.
     """
     _valid_int(r, "r")
     v_rows = as_matrix(v_rows)
     k, n = v_rows.shape
     q = np.asarray(q, dtype=float)
-    # n nonzeros, all of them unit diagonal entries: finite by construction,
-    # so the identity skips as_matrix's read of its n x n extremes
-    if not (q.shape == (n, n) and np.count_nonzero(q) == n and np.all(q.diagonal() == 1.0)):
+    if not _is_identity(q, n):
         as_matrix(q)
         raise ArgumentError("q must be the n x n identity")
     _require_orthonormal_rows(v_rows, "v_rows")

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import re
 import warnings
@@ -36,6 +37,20 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, a)
     np.testing.assert_array_equal(read_matrix_csv(path, has_header=False), a)
+
+
+def test_csv_bytes_are_those_of_csv_writer_on_repr(tmp_path, rng):
+    # the writer joins repr cells itself; the bytes stay those of csv.writer
+    a = rng.standard_normal((5, 7)) * np.pi
+    a[0, :6] = [1e-07, -0.0, 1e300, 5e-324, -1.7976931348623157e308, 0.1]
+    a[1] = rng.standard_normal(7) * 1e308
+    a[2, :3] = [1.0, 100.0, 1e16]
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    for matrix in (a, a[:1, :1], a[:, :1], np.arange(6).reshape(2, 3)):
+        write_matrix_csv(ours, matrix)
+        with open(reference, "w", newline="") as fh:
+            csv.writer(fh).writerows([repr(float(x)) for x in row] for row in matrix)
+        assert ours.read_bytes() == reference.read_bytes()
 
 
 def test_csv_header_handling(tmp_path):

@@ -124,3 +124,44 @@ def test_a_numpy_integer_count_is_an_integer(name):
     matrix, fn = COUNTS[name]
     value = 1 if name == "run_suite.trials" else 3
     assert comparable(fn(matrix, np.int64(value))) == comparable(fn(matrix, value))
+
+
+# each entry: labels and a cluster count, one of them not an integer
+NON_INTEGER_LABELS = {
+    "float label": ([1.9, 2.2, 1.0], 2),
+    "whole float label": ([1.0, 2, 1], 2),
+    "numpy float label": (np.array([1.0, 2.0, 1.0]), 2),
+    "string label": (["1", "2", "1"], 2),
+    "float count": ([1, 2, 1], 2.7),
+    "whole float count": ([1, 2, 1], 2.0),
+    "numpy float count": ([1, 2, 1], np.float64(2.0)),
+    "string count": ([1, 2, 1], "2"),
+    "both": ([1.9, 2.2, 1.0], 2.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_LABELS))
+def test_from_labels_refuses_a_non_integer_label_or_count(name):
+    labels, count = NON_INTEGER_LABELS[name]
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        from_labels(labels, count)
+
+
+def test_from_labels_refuses_no_labels():
+    # a clustering shape error, not max()'s bare ValueError
+    for count in (None, 2):
+        with pytest.raises(ArgumentError, match="invalid clustering shape: m=0"):
+            from_labels([], count)
+
+
+@pytest.mark.parametrize("labels, count", [
+    ([1, 2, 1], 2),
+    ([1, 2, 1], None),
+    ([1, 2, 1], np.int64(2)),
+    (np.array([1, 2, 1]), 2),
+    (np.array([1, 2, 1], dtype=np.int32), np.int32(2)),
+])
+def test_from_labels_takes_python_and_numpy_integers(labels, count):
+    c = from_labels(labels, count)
+    assert (c.num_clusters, c.assignment) == (2, (1, 2, 1))
+    assert all(type(x) is int for x in (c.num_clusters, *c.assignment))

@@ -475,6 +475,82 @@ def test_sampler_two_refuses_every_second_set_but_the_identity(rng):
             deterministic_sampling_two(v_rows, q, 6)
 
 
+def _toeplitz(spike):
+    # the layout of sparsify._identity over a given buffer of 2n - 1 floats:
+    # strides (-8, 8), q[i, j] = spike[n - 1 - i + j]
+    n = (len(spike) + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(np.asarray(spike, dtype=float), n)[::-1]
+
+
+def _spike(n, entries):
+    # the identity's buffer, with the entries at offsets j - i set as given
+    spike = np.zeros(2 * n - 1)
+    spike[n - 1] = 1.0
+    for offset, value in entries.items():
+        spike[n - 1 + offset] = value
+    return spike
+
+
+def test_sampler_two_reads_the_identity_view_in_linear_time(rng, monkeypatch):
+    # the view stores 2n - 1 entries, and the check reads each once rather
+    # than scanning its n^2 logical entries
+    n = 5000
+    v_rows = orthonormal_rows(rng, 3, n)
+    q = sparsify._identity(n)
+    sizes = []
+    count_nonzero = np.count_nonzero
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return count_nonzero(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", recording)
+    deterministic_sampling_two(v_rows, q, 6)
+    assert sum(sizes) <= 2 * n
+
+
+@pytest.mark.parametrize("spike, error", [
+    (_spike(6, {1: 1e-3}), ArgumentError),  # a second nonzero at offset +1
+    (_spike(6, {-1: 1e-3}), ArgumentError),  # a second nonzero at offset -1
+    (_spike(6, {5: -1.0}), ArgumentError),  # in the corner q[0, n - 1]
+    (_spike(6, {0: 2.0}), ArgumentError),
+    (_spike(6, {0: 0.0}), ArgumentError),
+    (_spike(6, {5: np.nan}), ContractViolationError),
+    (_spike(6, {-5: np.nan}), ContractViolationError),
+    (_spike(6, {0: np.nan}), ContractViolationError),
+    (_spike(6, {2: np.inf}), ContractViolationError),
+    (_spike(6, {-3: -np.inf}), ContractViolationError),
+], ids=["plus-1", "minus-1", "corner", "two", "zero", "nan-last", "nan-first", "nan-diag",
+        "inf", "minus-inf"])
+def test_sampler_two_refuses_a_toeplitz_view_that_is_not_the_identity(rng, spike, error):
+    q = _toeplitz(spike)
+    assert q.strides == (-8, 8)
+    match = "finite" if error is ContractViolationError else "q must be the n x n identity"
+    with pytest.raises(error, match=match):
+        deterministic_sampling_two(orthonormal_rows(rng, 2, 6), q, 4)
+
+
+def test_sampler_two_refuses_a_broadcast_one(rng):
+    # zero strides are opposite strides too: every entry is the one stored
+    q = np.broadcast_to(1.0, (6, 6))
+    with pytest.raises(ArgumentError, match="q must be the n x n identity"):
+        deterministic_sampling_two(orthonormal_rows(rng, 2, 6), q, 4)
+
+
+def test_sampler_two_takes_the_one_by_one_identity():
+    v_rows = np.ones((1, 1))
+    expected = deterministic_sampling_two(v_rows, np.eye(1), 2)
+    for q in (sparsify._identity(1), np.broadcast_to(1.0, (1, 1))):
+        assert deterministic_sampling_two(v_rows, q, 2) == expected
+
+
+@pytest.mark.parametrize("k, n, r", [(1, 2, 2), (2, 7, 5), (3, 40, 12), (5, 300, 60), (4, 9, 9)])
+def test_sampler_two_plans_from_the_identity_view_equal_those_from_a_dense_eye(k, n, r):
+    v_rows = orthonormal_rows(np.random.default_rng(n), k, n)
+    assert (deterministic_sampling_two(v_rows, sparsify._identity(n), r)
+            == deterministic_sampling_two(v_rows, np.eye(n), r))
+
+
 @pytest.mark.parametrize("trial", range(12))
 def test_samplers_hold_on_varied_shapes(trial):
     # sizes well away from the standard test family: r near k+1, r near n,
