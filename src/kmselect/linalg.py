@@ -13,16 +13,21 @@ on non-finite data with no mask of the matrix.  A public function that
 rescales its input checks it that way, after its argument checks, and
 :func:`as_matrix` runs the check without the rescale.
 
-One private solver, :func:`_gram_eigh`, serves the top-k triplets of
-:func:`svd_top_k` (on the smaller Gram matrix of ``A``) and the projected
-problem of :func:`approx_svd_z`, and :func:`singular_values` uses the
-same route without vectors.  For :func:`svd_top_k` the solver
-first tries :func:`_top_eigh`, a Chebyshev-filtered subspace iteration
-from a fixed seed that returns only when every one of the top k Ritz pairs
-has a residual at the Gram route's own noise floor; otherwise the full
-dense ``eigh`` runs, unchanged.  One floor, in :func:`_floored_sigma`,
-zeroes the eigenvalues the Gram route cannot resolve, so "rank at least k"
-is always the single test ``sigma_k > 0``.
+:func:`_gram` is the one rescale-and-Gram step: every Gram matrix is
+formed there, of the rescaled data, and the scaled copy is freed before
+the Gram matrix is solved.  One private solver, :func:`_gram_eigh`, serves
+the top-k triplets of :func:`svd_top_k` (on the smaller Gram matrix of
+``A``) and the projected problem of :func:`approx_svd_z`, and
+:func:`singular_values` uses the same route without vectors, on the same
+smaller side.  The solver first tries :func:`_top_eigh`, a
+Chebyshev-filtered subspace iteration from a fixed seed that returns only
+when every one of the top k Ritz pairs has a residual at the Gram route's
+own noise floor; otherwise the full dense ``eigh`` runs, unchanged.  The
+projected problem of :func:`approx_svd_z` is at most ``k + 10`` wide, too
+small for the iteration, so it always takes the dense ``eigh``.  One
+floor, in :func:`_floored_sigma`, zeroes the eigenvalues the Gram route
+cannot resolve, so "rank at least k" is always the single test
+``sigma_k > 0``.
 """
 
 from __future__ import annotations
@@ -229,14 +234,21 @@ def _top_eigh(g: np.ndarray, k: int, shape: tuple):
         products += _TOP_EIGH_DEGREE - 1
 
 
-def _gram_eigh(b: np.ndarray, shape: tuple, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # Floored singular values of b and the eigenvectors of b.T @ b (the
-    # right singular vectors), largest first; *shape* sets the floor.  With
-    # *k*, the top k only, from _top_eigh when it certifies them.
+def _gram(b: np.ndarray) -> tuple[np.ndarray, int]:
+    # (c.T @ c, e) for (c, e) = _rescaled(b): the one rescale-and-Gram step.
+    # A scaled copy of b, if one was made, is freed on return, before any
+    # solve of the Gram matrix.
     c, e = _rescaled(b)
-    g = c.T @ c
-    del c  # a scaled copy of b, if one was made, is not held through the solve
-    top = None if k is None else _top_eigh(g, k, shape)
+    return c.T @ c, e
+
+
+def _gram_eigh(b: np.ndarray, shape: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # Floored singular values of b and the eigenvectors of b.T @ b (the
+    # right singular vectors), largest first; *shape* sets the floor.  The
+    # top k come from _top_eigh when it certifies them, else every pair
+    # from the dense eigh.
+    g, e = _gram(b)
+    top = _top_eigh(g, k, shape)
     if top is None:
         lam, vecs = np.linalg.eigh(g)
         top = lam[::-1], vecs[:, ::-1]
@@ -252,9 +264,8 @@ def singular_values(a) -> np.ndarray:
     """
     a = _as_2d(a)
     m, n = a.shape
-    c, e = _rescaled(a)
-    gram = c.T @ c if n <= m else c @ c.T
-    return _floored_sigma(np.linalg.eigvalsh(gram)[::-1], a.shape, e)
+    g, e = _gram(a if n <= m else a.T)
+    return _floored_sigma(np.linalg.eigvalsh(g)[::-1], a.shape, e)
 
 
 def numerical_rank(a) -> int:
@@ -396,7 +407,7 @@ def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
         w = _orth(a.T @ q)
         q = _orth(a @ w)
     w = _orth(a.T @ q)
-    sig, vecs = _gram_eigh(a @ w, a.shape)
+    sig, vecs = _gram_eigh(a @ w, a.shape, k)
     if sig[k - 1] == 0.0:
         raise RankDeficiencyError(f"k={k} exceeds the numerical rank of the input")
     z = w @ vecs[:, :k]

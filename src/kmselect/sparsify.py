@@ -7,14 +7,17 @@ Three ways to pick and rescale ``r`` columns of an n-column matrix:
   budget caps a second set.
 * :func:`deterministic_sampling_two` — greedy dual-set selection with a
   moving upper spectral barrier on the n x n identity, the second set of
-  the paper's unsupervised algorithm.  It takes no other second set, and
-  its accumulator stays diagonal; the pipelines pass :func:`_identity`,
-  which holds the identity in 2n - 1 floats, and the sampler recognises
-  that view from those 2n - 1 entries in O(n) (a dense identity costs
-  one n^2 scan).
+  the paper's unsupervised algorithm.  It takes no other second set:
+  the identity's accumulator is ``diag(w)``, the loop's column weights.
+  The pipelines pass :func:`_identity`, which holds the identity in
+  2n - 1 floats, and the sampler recognises that view from those 2n - 1
+  entries in O(n) (a dense identity costs one n^2 scan).
 * :func:`randomized_sampling` — i.i.d. leverage-score sampling.
 
-Both greedy samplers score candidates with one closed-form barrier gain,
+Both greedy samplers are one loop, ``_dual_set_loop``, which keeps the
+column weights ``w`` and returns the plan; they differ only in the upper
+side it is handed, a static Frobenius charge or the identity's moving
+barrier.  Both sides score candidates with one closed-form barrier gain,
 ``_gains`` (Batson-Spielman-Srivastava; Boutsidis-Drineas-Magdon-Ismail,
 Lemmas 10-11).  All three return a :class:`SamplingPlan`, the compact form
 of a sampling matrix / rescaling matrix pair: applying the plan to ``a``
@@ -46,6 +49,9 @@ class SamplingPlan:
     ``indices`` are 1-based positions into the ``source_dim`` columns of the
     matrix the plan will be applied to; duplicates are allowed.  Column ``j``
     of the reduced matrix is ``weights[j]`` times the selected source column.
+    The dimensions and indices follow the one integer rule and the weights
+    must be finite and positive: anything else raises
+    :class:`ArgumentError`, never a truncation.
     """
 
     source_dim: int
@@ -54,19 +60,20 @@ class SamplingPlan:
     weights: tuple
 
     def __post_init__(self):
-        if self.source_dim < 1 or self.target_dim < 1:
+        dims = _valid_int(self.source_dim, "source_dim"), _valid_int(self.target_dim, "target_dim")
+        if min(dims) < 1:
             raise ArgumentError("plan dimensions must be positive")
         if len(self.indices) != self.target_dim or len(self.weights) != self.target_dim:
             raise ArgumentError("indices and weights must both have target_dim entries")
-        if any(not 1 <= int(i) <= self.source_dim for i in self.indices):
+        if any(not 1 <= _valid_int(i, "plan index") <= self.source_dim for i in self.indices):
             raise ArgumentError("plan indices must lie in [1, source_dim]")
-        if any(not w > 0 for w in self.weights):
-            raise ArgumentError("plan weights must be positive")
+        if any(not 0.0 < w < math.inf for w in self.weights):
+            raise ArgumentError("plan weights must be finite and positive")
 
     def to_dict(self) -> dict:
         return {
-            "source_dim": self.source_dim,
-            "target_dim": self.target_dim,
+            "source_dim": int(self.source_dim),
+            "target_dim": int(self.target_dim),
             "indices": [int(i) for i in self.indices],
             "weights": [float(w) for w in self.weights],
         }
@@ -74,9 +81,9 @@ class SamplingPlan:
     @classmethod
     def from_dict(cls, d: dict) -> "SamplingPlan":
         return cls(
-            source_dim=int(d["source_dim"]),
-            target_dim=int(d["target_dim"]),
-            indices=tuple(int(i) for i in d["indices"]),
+            source_dim=d["source_dim"],
+            target_dim=d["target_dim"],
+            indices=tuple(d["indices"]),
             weights=tuple(float(w) for w in d["weights"]),
         )
 
@@ -144,8 +151,9 @@ def _gains(lam: np.ndarray, g2, barrier: float, shifted: float, tau: int) -> np.
     the spectrum lies above both and the score caps ``1/t`` from above; on
     the upper side it lies below both and the score caps ``1/t`` from
     below.  ``g2=None`` stands for the identity: the candidates are the
-    eigenvectors themselves.  The upper side, whose second set is the
-    identity, takes that form; the lower side passes its dense ``g2``.
+    eigenvectors themselves.  The upper side takes that form: the
+    identity's accumulator is ``diag(w)``, the loop's column weights, so
+    *lam* is ``w``.  The lower side passes its dense ``g2``.
     """
     d = lam - shifted
     inv = 1.0 / d
@@ -163,41 +171,24 @@ def _gains(lam: np.ndarray, g2, barrier: float, shifted: float, tau: int) -> np.
     return (g2 / np.square(d)[:, None]).sum(axis=0) / dphi - (g2 / d[:, None]).sum(axis=0)
 
 
-class _FrobeniusUpper:
-    """Static per-column charges ``||b_i||^2 / delta_B``; no barrier state."""
+def _identity_upper(n: int, k: int, r: int):
+    """The upper side for the n x n identity as the second set.
 
-    def __init__(self, charges: np.ndarray):
-        self._charges = charges
-
-    def values(self, tau: int) -> np.ndarray:
-        return self._charges
-
-    def add(self, index: int, t: float) -> None:
-        pass
-
-
-class _SpectralUpper:
-    """Upper-barrier bookkeeping for the n x n identity as the second set.
-
-    Rank-one updates with standard basis vectors keep the accumulator
-    diagonal, so its spectrum is the diagonal itself, the candidates are
-    its eigenvectors, and the scan costs O(n) per iteration.  The barrier
-    starts at ``delta * sqrt(n r)`` and moves by
+    Its accumulator is ``diag(w)``, the loop's column weights, so its
+    spectrum is *w* itself, the candidates are its eigenvectors, and the
+    scan costs O(n) per iteration.  The barrier starts at
+    ``delta * sqrt(n r)`` and moves by
     ``delta = (1 + sqrt(n/r)) / (1 - sqrt(k/r))`` per step.
     """
+    delta = (1.0 + math.sqrt(n / r)) / (1.0 - math.sqrt(k / r))
+    offset = math.sqrt(n * r)
 
-    def __init__(self, n: int, k: int, r: int):
-        self.accum = np.zeros(n)
-        self.delta = (1.0 + math.sqrt(n / r)) / (1.0 - math.sqrt(k / r))
-        self._offset = math.sqrt(n * r)
+    def upper(tau: int, w: np.ndarray) -> np.ndarray:
+        u = delta * (tau + offset)
+        _check_upper_barrier(float(w.max()), u, tau)
+        return _gains(w, None, u, u + delta, tau)
 
-    def values(self, tau: int) -> np.ndarray:
-        u = self.delta * (tau + self._offset)
-        _check_upper_barrier(float(self.accum.max()), u, tau)
-        return _gains(self.accum, None, u, u + self.delta, tau)
-
-    def add(self, index: int, t: float) -> None:
-        self.accum[index] += t
+    return upper
 
 
 def _check_lower_barrier(lam_min: float, barrier: float, tau: int) -> None:
@@ -217,11 +208,17 @@ def _check_upper_barrier(lam_max: float, barrier: float, tau: int) -> None:
         )
 
 
-def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> tuple[np.ndarray, np.ndarray]:
-    """Run r greedy steps; return selected 0-based indices and update weights."""
-    k, _ = v_rows.shape
+def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> SamplingPlan:
+    """Run r greedy steps and return the plan of the columns they pick.
+
+    The second set's accumulator is ``Q diag(w) Q.T``, where ``w[i]`` sums
+    the steps ``t`` taken on column ``i``; ``upper(tau, w)`` scores every
+    column on the upper side from those weights.
+    """
+    k, n = v_rows.shape
     sqrt_rk = math.sqrt(r * k)
     accum = np.zeros((k, k))
+    w = np.zeros(n)
     picked = np.empty(r, dtype=int)
     t_vals = np.empty(r)
     for tau in range(r):
@@ -235,7 +232,7 @@ def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> tuple[np.ndarray, np.nd
                 diagnostics={"barrier": ell, "lambda_min": float(lam[0])},
             )
         lower_vals = _gains(lam, np.square(vecs.T @ v_rows), ell, ellp, tau)
-        upper_vals = upper.values(tau)
+        upper_vals = upper(tau, w)
         admissible = (upper_vals <= lower_vals) & (upper_vals + lower_vals > 0.0)
         hits = np.flatnonzero(admissible)
         if hits.size == 0:
@@ -247,20 +244,15 @@ def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> tuple[np.ndarray, np.nd
         i = int(hits[0])  # smallest qualifying index, for determinism
         t = 2.0 / (upper_vals[i] + lower_vals[i])  # midpoint of [1/L, 1/U]
         accum += t * np.outer(v_rows[:, i], v_rows[:, i])
-        upper.add(i, t)
+        w[i] += t
         picked[tau] = i
         t_vals[tau] = t
-    return picked, t_vals
-
-
-def _finish_plan(n: int, r: int, k: int, picked: np.ndarray, t_vals: np.ndarray) -> SamplingPlan:
-    scale = (1.0 - math.sqrt(k / r)) / r
-    weights = np.sqrt(t_vals * scale)
+    weights = np.sqrt(t_vals * ((1.0 - math.sqrt(k / r)) / r))
     return SamplingPlan(
         source_dim=n,
         target_dim=r,
         indices=tuple(int(i) + 1 for i in picked),
-        weights=tuple(float(w) for w in weights),
+        weights=tuple(float(x) for x in weights),
     )
 
 
@@ -343,8 +335,7 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     fro2 = float(col_sq.sum())
     # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
     charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq
-    picked, t_vals = _dual_set_loop(v_rows, r, _FrobeniusUpper(charges))
-    return _finish_plan(n, r, k, picked, t_vals)
+    return _dual_set_loop(v_rows, r, lambda tau, w: charges)
 
 
 def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
@@ -361,9 +352,9 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
     temporary: the :func:`_identity` view stores 2n - 1, so its check is
     O(n), while a dense ``np.eye(n)`` costs one n^2 scan.  Any other *q*
     raises :class:`ArgumentError`, or :class:`ContractViolationError`
-    when it is not finite.  The accumulator stays diagonal, so the
-    candidate scan runs in O(n) per iteration.  The output is a pure
-    function of the inputs.
+    when it is not finite.  The identity's accumulator is ``diag(w)``,
+    the loop's column weights, so the candidate scan runs in O(n) per
+    iteration.  The output is a pure function of the inputs.
     """
     _valid_int(r, "r")
     v_rows = as_matrix(v_rows)
@@ -375,8 +366,7 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
     _require_orthonormal_rows(v_rows, "v_rows")
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    picked, t_vals = _dual_set_loop(v_rows, r, _SpectralUpper(n, k, r))
-    return _finish_plan(n, r, k, picked, t_vals)
+    return _dual_set_loop(v_rows, r, _identity_upper(n, k, r))
 
 
 def randomized_sampling(v_rows, r: int, seed: int) -> SamplingPlan:

@@ -429,6 +429,15 @@ def test_spectral_matches_gram_oracle(rng):
     assert spectral_norm(a) == pytest.approx(float(np.sqrt(lam_max)), abs=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(40, 7), (7, 40), (300, 45), (2, 1), (1, 9)])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_singular_values_of_the_transpose_are_the_same_bits(rng, shape, scale):
+    # a and a.T share their smaller Gram matrix, which is the one formed
+    a = rng.standard_normal(shape) * scale
+    assert singular_values(a.T).tobytes() == singular_values(a).tobytes()
+    assert singular_values(np.ascontiguousarray(a.T)).tobytes() == singular_values(a).tobytes()
+
+
 def test_sigma_k_diagonal():
     assert sigma_k(np.diag([3.0, 2.0]), 2) == pytest.approx(2.0, abs=1e-12)
 

@@ -50,6 +50,45 @@ def test_plan_json_round_trip():
     }
 
 
+@pytest.mark.parametrize("args, match", [
+    ((4, 1, (1.7,), (1.0,)), "plan index must be an integer"),
+    ((4, 1, ("2",), (1.0,)), "plan index must be an integer"),
+    ((4, 1, (np.float64(2.0),), (1.0,)), "plan index must be an integer"),
+    ((4.5, 1, (1,), (1.0,)), "source_dim must be an integer"),
+    ((4, 1.0, (1,), (1.0,)), "target_dim must be an integer"),
+    ((4, 1, (1,), (math.inf,)), "finite and positive"),
+    ((4, 1, (1,), (np.float64(np.inf),)), "finite and positive"),
+    ((4, 2, (1, 2), (1.0, 1e309)), "finite and positive"),
+], ids=["float-index", "str-index", "numpy-float-index", "float-source-dim",
+        "float-target-dim", "inf-weight", "numpy-inf-weight", "overflowed-weight"])
+def test_plan_refuses_non_integer_positions_and_infinite_weights(args, match):
+    with pytest.raises(ArgumentError, match=match):
+        SamplingPlan(*args)
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"source_dim": 4, "target_dim": 1, "indices": [2.9], "weights": [1.0]}',
+     "plan index must be an integer"),
+    ('{"source_dim": 4.0, "target_dim": 1, "indices": [2], "weights": [1.0]}',
+     "source_dim must be an integer"),
+    ('{"source_dim": "4", "target_dim": 1, "indices": [2], "weights": [1.0]}',
+     "source_dim must be an integer"),
+    ('{"source_dim": 4, "target_dim": 1, "indices": [2], "weights": [Infinity]}',
+     "finite and positive"),
+], ids=["float-index", "float-dim", "str-dim", "infinite-weight"])
+def test_plan_from_dict_refuses_rather_than_truncates(text, match):
+    with pytest.raises(ArgumentError, match=match):
+        SamplingPlan.from_dict(json.loads(text))
+
+
+def test_plan_takes_numpy_integers_and_floats():
+    plan = SamplingPlan(np.int64(4), np.int32(2), (np.int64(4), 1), (np.float64(0.5), 2))
+    assert SamplingPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+    np.testing.assert_array_equal(
+        apply_plan(np.arange(8.0).reshape(2, 4), plan), [[1.5, 0.0], [3.5, 8.0]]
+    )
+
+
 def test_apply_plan_direct_construction():
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     plan = SamplingPlan(3, 2, (3, 1), (0.5, 1.0))
@@ -192,7 +231,7 @@ def test_lower_gain_barrier_violation(rng):
     # with r = k = 1 the shifted lower barrier starts at lambda_min = 0
     v_rows = orthonormal_rows(rng, 1, 5)
     with pytest.raises(NumericalSearchError, match="shifted lower barrier") as err:
-        sparsify._dual_set_loop(v_rows, 1, sparsify._FrobeniusUpper(np.zeros(5)))
+        sparsify._dual_set_loop(v_rows, 1, lambda tau, w: np.zeros(5))
     assert err.value.step == 0
     assert err.value.diagnostics == {"barrier": -1.0, "lambda_min": 0.0}
 
@@ -200,20 +239,21 @@ def test_lower_gain_barrier_violation(rng):
 def test_upper_gain_spec_barrier_violation():
     # the spectral upper side reports the crossing with lambda_max
     n, k, r = 4, 1, 2
-    upper = sparsify._SpectralUpper(n, k, r)
-    upper.add(2, 1e6)
+    delta = (1.0 + math.sqrt(n / r)) / (1.0 - math.sqrt(k / r))
+    w = np.zeros(n)
+    w[2] = 1e6
     with pytest.raises(NumericalSearchError, match="upper barrier crossed") as err:
-        upper.values(0)
+        sparsify._identity_upper(n, k, r)(0, w)
     assert err.value.step == 0
     assert err.value.diagnostics["lambda_max"] == 1e6
-    assert err.value.diagnostics["barrier"] == upper.delta * math.sqrt(n * r)
+    assert err.value.diagnostics["barrier"] == delta * math.sqrt(n * r)
 
 
 def test_no_admissible_column_reports_diagnostics(rng):
     v_rows = orthonormal_rows(rng, 3, 20)
-    upper = sparsify._FrobeniusUpper(np.full(20, 1e300))
+    charges = np.full(20, 1e300)
     with pytest.raises(NumericalSearchError, match="no admissible column") as err:
-        sparsify._dual_set_loop(v_rows, 6, upper)
+        sparsify._dual_set_loop(v_rows, 6, lambda tau, w: charges)
     diagnostics = err.value.diagnostics
     assert err.value.step == 0
     assert set(diagnostics) == {"barrier", "lambda_min", "max_gap"}
@@ -325,24 +365,20 @@ def test_sampler_two_deterministic(rng):
 
 
 class _DenseSpectralUpper:
-    # the upper side on an explicit second set q: an ell2 x ell2
-    # accumulator, and candidates scored in the eigenbasis of each step
+    # the upper side on an explicit second set q: the ell2 x ell2
+    # accumulator q diag(w) q.T built from the loop's column weights, and
+    # candidates scored in its eigenbasis at each step
     def __init__(self, q, k, r):
         ell2 = q.shape[0]
         self.q = q
-        self.accum = np.zeros((ell2, ell2))
         self.delta = (1.0 + math.sqrt(ell2 / r)) / (1.0 - math.sqrt(k / r))
         self._offset = math.sqrt(ell2 * r)
 
-    def values(self, tau):
+    def __call__(self, tau, w):
         u = self.delta * (tau + self._offset)
-        lam, vecs = np.linalg.eigh(self.accum)
+        lam, vecs = np.linalg.eigh((self.q * w) @ self.q.T)
         sparsify._check_upper_barrier(float(lam.max()), u, tau)
         return sparsify._gains(lam, np.square(vecs.T @ self.q), u, u + self.delta, tau)
-
-    def add(self, index, t):
-        qi = self.q[:, index]
-        self.accum += t * np.outer(qi, qi)
 
 
 def test_sampler_two_identity_fast_path_matches_dense(rng):
@@ -350,8 +386,7 @@ def test_sampler_two_identity_fast_path_matches_dense(rng):
     n = 30
     v_rows = orthonormal_rows(rng, 3, n)
     fast = deterministic_sampling_two(v_rows, np.eye(n), 8)
-    picked, t_vals = sparsify._dual_set_loop(v_rows, 8, _DenseSpectralUpper(np.eye(n), 3, 8))
-    dense = sparsify._finish_plan(n, 8, 3, picked, t_vals)
+    dense = sparsify._dual_set_loop(v_rows, 8, _DenseSpectralUpper(np.eye(n), 3, 8))
     assert fast.indices == dense.indices
     np.testing.assert_allclose(fast.weights, dense.weights, rtol=1e-9)
 
