@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,14 +33,7 @@ class BoundReport:
     context: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "factor": self.factor,
-            "holds": self.holds,
-            "context": dict(self.context),
-        }
+        return asdict(self)
 
 
 def bound_report(name: str, lhs: float, rhs: float, factor: float, context: dict) -> BoundReport:

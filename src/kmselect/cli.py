@@ -35,14 +35,11 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
-class _CliValidationError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; route through our own codes
+    # argparse exits with status 2 on bad flags; a parse error is an
+    # ArgumentError like any other bad argument, with its exit code
     def error(self, message):
-        raise _CliValidationError(message)
+        raise ArgumentError(message)
 
 
 def _seed(text: str) -> int:
@@ -257,13 +254,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ArgumentError, ContractViolationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

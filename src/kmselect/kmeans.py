@@ -7,7 +7,10 @@ identity the tests and the ``objective-identity`` verify suite check.
 Cluster centroids come from one one-hot matmul kernel, and costs from
 one kernel that works in a single m x n scratch array, both shared by
 the objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
-and an exhaustive optimal search for small instances.
+and an exhaustive optimal search for small instances.  Both backends
+label points 0-based and a :class:`Clustering` keeps 1-based labels:
+:func:`from_labels` builds every clustering the package returns, and
+``Clustering.labels0`` is the one way back.
 
 Every public function checks its arguments, then rescales its points
 once by the package's one rule (``linalg._rescaled``), which is also the
@@ -267,7 +270,7 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     p = _points(b)
     runs = (_lloyd(p, k, b[_kmeanspp(b, k, base + t)], tol) for t in range(restarts))
     labels = min(runs, key=lambda run: run[1])[0]  # the first of equal costs wins
-    return Clustering(b.shape[0], k, tuple(int(x) + 1 for x in labels))
+    return from_labels(labels + 1, k)
 
 
 def _partition_batches(m: int, k: int):
@@ -370,4 +373,4 @@ def brute_force_optimal(a, k: int) -> Clustering:
         if objs[j] < best_obj:
             best_obj = float(objs[j])
             best_labels = batch[j]
-    return Clustering(m, k, tuple(int(x) + 1 for x in best_labels))
+    return from_labels(best_labels + 1, k)

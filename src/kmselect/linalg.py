@@ -101,10 +101,6 @@ class SvdTopK:
     s: np.ndarray
     v: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return int(self.s.size)
-
 
 @dataclass(frozen=True, eq=False)
 class SymEig:
@@ -116,10 +112,6 @@ class SymEig:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
 
 
 def _scale_exponent(a: np.ndarray) -> int:

@@ -39,7 +39,9 @@ from .kmeans import (
 from .linalg import _as_2d, _minus_product, _valid_int, _valid_seed, approx_svd_z, svd_top_k
 from .sparsify import (
     SamplingPlan,
+    _columns,
     _identity,
+    _plan,
     apply_plan,
     deterministic_sampling_one,
     deterministic_sampling_two,
@@ -154,16 +156,10 @@ def _child_seed(seed: int, index: int) -> int:
 
 
 def _compose(stage1: SamplingPlan, stage2: SamplingPlan) -> SamplingPlan:
-    indices = tuple(stage1.indices[j - 1] for j in stage2.indices)
-    weights = tuple(
-        stage1.weights[j - 1] * w for j, w in zip(stage2.indices, stage2.weights)
-    )
-    return SamplingPlan(
-        source_dim=stage1.source_dim,
-        target_dim=stage2.target_dim,
-        indices=indices,
-        weights=weights,
-    )
+    # stage 2's picks routed through stage 1's, with the weights multiplied
+    idx1, w1 = _columns(stage1)
+    j, w2 = _columns(stage2)
+    return _plan(stage1.source_dim, idx1[j], w1[j] * w2)
 
 
 def stage1_width(k: int, r: int) -> int:

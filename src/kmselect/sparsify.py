@@ -22,6 +22,11 @@ barrier.  Both sides score candidates with one closed-form barrier gain,
 Lemmas 10-11).  All three return a :class:`SamplingPlan`, the compact form
 of a sampling matrix / rescaling matrix pair: applying the plan to ``a``
 realizes ``a @ omega @ s``.
+
+A plan keeps 1-based indices and weights in tuples; the kernels work on
+0-based index arrays.  ``_plan`` is the one conversion into a plan, from
+0-based picks and their weights, and ``_columns`` the one conversion back,
+to a 0-based index array and a weight array.
 """
 
 from __future__ import annotations
@@ -49,9 +54,10 @@ class SamplingPlan:
     ``indices`` are 1-based positions into the ``source_dim`` columns of the
     matrix the plan will be applied to; duplicates are allowed.  Column ``j``
     of the reduced matrix is ``weights[j]`` times the selected source column.
-    The dimensions and indices follow the one integer rule and the weights
-    must be finite and positive: anything else raises
-    :class:`ArgumentError`, never a truncation.
+    The dimensions and indices follow the one integer rule, and the weights
+    are Python or numpy integers or floats, not bools, finite and positive:
+    anything else raises :class:`ArgumentError`, never a truncation or a
+    conversion.
     """
 
     source_dim: int
@@ -67,7 +73,9 @@ class SamplingPlan:
             raise ArgumentError("indices and weights must both have target_dim entries")
         if any(not 1 <= _valid_int(i, "plan index") <= self.source_dim for i in self.indices):
             raise ArgumentError("plan indices must lie in [1, source_dim]")
-        if any(not 0.0 < w < math.inf for w in self.weights):
+        # bool subclasses int, so it is refused by name
+        if any(isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating))
+               or not 0.0 < w < math.inf for w in self.weights):
             raise ArgumentError("plan weights must be finite and positive")
 
     def to_dict(self) -> dict:
@@ -84,13 +92,26 @@ class SamplingPlan:
             source_dim=d["source_dim"],
             target_dim=d["target_dim"],
             indices=tuple(d["indices"]),
-            weights=tuple(float(w) for w in d["weights"]),
+            weights=tuple(d["weights"]),
         )
+
+
+def _plan(source_dim: int, picked, weights) -> SamplingPlan:
+    # the plan that takes the 0-based columns *picked* of a source_dim-column
+    # matrix with *weights*: the one conversion into a plan's 1-based tuples
+    return SamplingPlan(source_dim, len(picked), tuple(int(i) + 1 for i in picked),
+                        tuple(float(w) for w in weights))
+
+
+def _columns(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
+    # the plan's 0-based column indices and its weights as arrays: the one
+    # conversion back from its tuples
+    return np.asarray(plan.indices, dtype=int) - 1, np.asarray(plan.weights, dtype=float)
 
 
 def identity_plan(n: int) -> SamplingPlan:
     """The plan that keeps all *n* columns with unit weights."""
-    return SamplingPlan(n, n, tuple(range(1, n + 1)), (1.0,) * n)
+    return _plan(n, range(n), (1.0,) * n)
 
 
 def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
@@ -104,10 +125,10 @@ def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
         raise ArgumentError(
             f"plan covers {plan.source_dim} columns but the matrix has {a.shape[1]}"
         )
-    idx = np.asarray(plan.indices, dtype=int) - 1
+    idx, weights = _columns(plan)
     try:
         with np.errstate(over="raise"):
-            return a[:, idx] * np.asarray(plan.weights, dtype=float)
+            return a[:, idx] * weights
     except FloatingPointError:
         raise ContractViolationError("the sampled matrix exceeds the float64 range") from None
 
@@ -247,13 +268,7 @@ def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> SamplingPlan:
         w[i] += t
         picked[tau] = i
         t_vals[tau] = t
-    weights = np.sqrt(t_vals * ((1.0 - math.sqrt(k / r)) / r))
-    return SamplingPlan(
-        source_dim=n,
-        target_dim=r,
-        indices=tuple(int(i) + 1 for i in picked),
-        weights=tuple(float(x) for x in weights),
-    )
+    return _plan(n, picked, np.sqrt(t_vals * ((1.0 - math.sqrt(k / r)) / r)))
 
 
 def _identity(n: int) -> np.ndarray:
@@ -383,10 +398,4 @@ def randomized_sampling(v_rows, r: int, seed: int) -> SamplingPlan:
     rng = np.random.default_rng(_valid_seed(seed))
     p = leverage_scores(v_rows)
     draws = rng.choice(p.size, size=r, replace=True, p=p)
-    weights = 1.0 / np.sqrt(p[draws] * r)
-    return SamplingPlan(
-        source_dim=int(p.size),
-        target_dim=r,
-        indices=tuple(int(i) + 1 for i in draws),
-        weights=tuple(float(w) for w in weights),
-    )
+    return _plan(p.size, draws, 1.0 / np.sqrt(p[draws] * r))

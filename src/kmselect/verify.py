@@ -33,10 +33,11 @@ import numpy as np
 
 from .bounds import structural_check
 from .errors import ArgumentError
-from .kmeans import Clustering, brute_force_optimal, indicator, lloyd_best, objective
+from .kmeans import Clustering, brute_force_optimal, from_labels, indicator, lloyd_best, objective
 from .linalg import _valid_int, _valid_seed, approx_svd_z, frobenius_norm, sigma_k, svd_top_k
 from .pipelines import _needs_given, _select, _stacked_residual, select_then_cluster
 from .sparsify import (
+    _columns,
     _identity,
     apply_plan,
     deterministic_sampling_one,
@@ -157,8 +158,8 @@ def sampler_two_trial(seed: int) -> dict:
     # the columns of the sampled identity are weighted unit vectors,
     # orthogonal across distinct indices: its Gram matrix is diagonal with
     # the summed squared weights of each index
-    idx = np.asarray(plan.indices) - 1
-    spec = math.sqrt(float(np.bincount(idx, weights=np.square(plan.weights)).max()))
+    idx, weights = _columns(plan)
+    spec = math.sqrt(float(np.bincount(idx, weights=np.square(weights)).max()))
     return {
         "spectral_floor": sig >= 1.0 - math.sqrt(k / r) - CHECK_SLACK,
         "spectral_cap": spec <= 1.0 + math.sqrt(n / r) + CHECK_SLACK,
@@ -264,7 +265,7 @@ def _suite_kmeans_oracle(trials: int, seed: int) -> tuple:
 def _random_clustering(rng: np.random.Generator, m: int, k: int) -> Clustering:
     labels = rng.integers(1, k + 1, size=m)
     labels[rng.permutation(m)[:k]] = np.arange(1, k + 1)
-    return Clustering(m, k, tuple(int(x) for x in labels))
+    return from_labels(labels, k)
 
 
 def objective_identity_trial(seed: int) -> dict:

@@ -65,6 +65,12 @@ def test_theorem3_factor_value():
     assert theorem3_factor(2, 30, 1.0) == pytest.approx(5191.857156119694, abs=1e-6)
 
 
+def test_theorem3_factor_errors():
+    for k, r, gamma in [(4, 4, 1.0), (5, 3, 1.0), (2, 8, 0.5)]:
+        with pytest.raises(ArgumentError):
+            theorem3_factor(k, r, gamma)
+
+
 def test_theorem3_factor_limit():
     assert theorem3_factor(2, 10**14, 1.0) == pytest.approx(335.0, rel=1e-4)
 

@@ -53,6 +53,19 @@ def test_csv_bytes_are_those_of_csv_writer_on_repr(tmp_path, rng):
         assert ours.read_bytes() == reference.read_bytes()
 
 
+def test_read_labels_skips_blank_lines_and_refuses_bad_files(tmp_path):
+    from kmselect.errors import ArgumentError
+
+    path = tmp_path / "l.txt"
+    path.write_text("1\n\n  \n2\n1\n")
+    assert read_labels(path) == [1, 2, 1]
+    for text, match in [("1\n\nx\n", r"l\.txt:3: "), ("2\n1.5\n", r"l\.txt:2: "),
+                        ("", r"l\.txt: no labels"), ("\n \n", r"l\.txt: no labels")]:
+        path.write_text(text)
+        with pytest.raises(ArgumentError, match=match):
+            read_labels(path)
+
+
 def test_csv_header_handling(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("f1,f2\n1.0,2.0\n\n3.0,4.0\n")
@@ -95,12 +108,14 @@ def test_csv_rejects_ragged_and_text(tmp_path):
 
 
 def test_synth_noiseless_has_k_distinct_rows(tmp_path):
-    path, labels_path = synth(tmp_path, m=9, n=5, k=3, noise=0.0, seed=1)
-    a = read_matrix_csv(path, has_header=False)
-    assert len({tuple(row) for row in a}) == 3
-    labels = read_labels(labels_path)
-    assert sorted(set(labels)) == [1, 2, 3]
-    assert objective(a, from_labels(labels, 3)) == pytest.approx(0.0, abs=1e-18)
+    # with n < k the k centres cannot sit on distinct axes and are drawn
+    for n in (5, 2):
+        path, labels_path = synth(tmp_path, name=f"n{n}.csv", m=9, n=n, k=3, noise=0.0, seed=1)
+        a = read_matrix_csv(path, has_header=False)
+        assert len({tuple(row) for row in a}) == 3
+        labels = read_labels(labels_path)
+        assert sorted(set(labels)) == [1, 2, 3]
+        assert objective(a, from_labels(labels, 3)) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_synth_reproducible(tmp_path):
@@ -122,6 +137,8 @@ def test_synth_separated_blobs_recoverable(tmp_path):
 
 def test_synth_validation(tmp_path):
     assert run_cli("synth", "--m", 2, "--n", 3, "--k", 5, "--output", tmp_path / "x.csv") == 1
+    assert run_cli("synth", "--m", 2, "--n", 0, "--k", 1, "--output", tmp_path / "x.csv") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -232,8 +249,12 @@ def test_select_k_ge_r_message_names_precondition(tmp_path, capsys):
     assert "k < r" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_validation_error():
+def test_unknown_flag_is_validation_error(capsys):
     assert run_cli("select", "--frobnicate") == 1
+    assert run_cli("frobnicate") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: the following arguments are required: --input, --method, --k, --r"
+    assert err[1].startswith("error: argument command: invalid choice: 'frobnicate'")
 
 
 def test_select_non_finite_csv_is_a_validation_error(tmp_path, capsys):
@@ -326,6 +347,13 @@ def test_verify_known_suite(tmp_path):
 
 def test_verify_unknown_suite():
     assert run_cli("verify", "--suite", "does-not-exist") == 1
+
+
+def test_verify_refuses_zero_trials(capsys):
+    assert run_cli("verify", "--suite", "sampler-two-bounds", "--trials", 0) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one trial, got 0\n"
 
 
 # ---------------------------------------------------------------------------

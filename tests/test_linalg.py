@@ -32,6 +32,9 @@ from kmselect.linalg import (
 def test_as_matrix_rejects_non_2d():
     with pytest.raises(ArgumentError):
         as_matrix(np.ones(3))
+    for empty in (np.ones((0, 3)), np.ones((3, 0))):
+        with pytest.raises(ArgumentError, match="at least 1x1"):
+            as_matrix(empty)
 
 
 def test_as_matrix_rejects_nan():
@@ -131,11 +134,18 @@ def test_svd_best_rank_k_beats_random_indicator_projections(rng):
         assert best <= np.linalg.norm(a - x @ (x.T @ a)) + 1e-9
 
 
-def test_svd_rank_deficiency_error(rng):
+def test_svd_rank_deficiency_error(rng, monkeypatch):
     u = rng.standard_normal((6, 1))
     v = rng.standard_normal((1, 4))
     with pytest.raises(RankDeficiencyError):
         svd_top_k(u @ v, 2)
+    # a zero matrix with a Gram side wide enough for the iteration: its top
+    # Ritz value is 0, so the iteration declines and the dense route finds
+    # no rank
+    certified = _spy_top_eigh(monkeypatch)
+    with pytest.raises(RankDeficiencyError):
+        svd_top_k(np.zeros((50, 60)), 2)
+    assert certified == [False]
 
 
 def test_svd_k_out_of_range(rng):

@@ -59,8 +59,14 @@ def test_plan_json_round_trip():
     ((4, 1, (1,), (math.inf,)), "finite and positive"),
     ((4, 1, (1,), (np.float64(np.inf),)), "finite and positive"),
     ((4, 2, (1, 2), (1.0, 1e309)), "finite and positive"),
+    ((0, 0, (), ()), "plan dimensions must be positive"),
+    ((4, 1, (2,), ("0.5",)), "finite and positive"),
+    ((4, 1, (2,), (True,)), "finite and positive"),
+    ((4, 1, (2,), (np.True_,)), "finite and positive"),
+    ((4, 1, (2,), (None,)), "finite and positive"),
 ], ids=["float-index", "str-index", "numpy-float-index", "float-source-dim",
-        "float-target-dim", "inf-weight", "numpy-inf-weight", "overflowed-weight"])
+        "float-target-dim", "inf-weight", "numpy-inf-weight", "overflowed-weight",
+        "zero-dims", "str-weight", "bool-weight", "numpy-bool-weight", "none-weight"])
 def test_plan_refuses_non_integer_positions_and_infinite_weights(args, match):
     with pytest.raises(ArgumentError, match=match):
         SamplingPlan(*args)
@@ -75,7 +81,11 @@ def test_plan_refuses_non_integer_positions_and_infinite_weights(args, match):
      "source_dim must be an integer"),
     ('{"source_dim": 4, "target_dim": 1, "indices": [2], "weights": [Infinity]}',
      "finite and positive"),
-], ids=["float-index", "float-dim", "str-dim", "infinite-weight"])
+    ('{"source_dim": 4, "target_dim": 1, "indices": [2], "weights": ["0.5"]}',
+     "finite and positive"),
+    ('{"source_dim": 4, "target_dim": 1, "indices": [2], "weights": [true]}',
+     "finite and positive"),
+], ids=["float-index", "float-dim", "str-dim", "infinite-weight", "str-weight", "bool-weight"])
 def test_plan_from_dict_refuses_rather_than_truncates(text, match):
     with pytest.raises(ArgumentError, match=match):
         SamplingPlan.from_dict(json.loads(text))
