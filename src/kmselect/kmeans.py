@@ -23,7 +23,10 @@ subtracts the column means and scores every labelling through the
 ``m x m`` Gram matrix ``g`` of the centred points, as
 ``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
 number of columns, and an offset in the data changes the scores only by
-the rounding of the column means.
+the rounding of the column means.  The labellings are enumerated in
+batches of ``_PARTITION_BATCH``: an enumeration of at most one batch is
+built once per process and reused read-only, and larger ones stream, so
+memory stays bounded by the batch.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _MAX_ITER = 300
 _TOL = 1e-10
 BRUTE_FORCE_MAX_POINTS = 12
 _PARTITION_BATCH = 4096
+# (m, k) -> the labels of an enumeration that fits one batch, built by
+# its first search: at most 58 shapes, 0.18 MB in all.  An entry depends
+# on its (m, k) alone and is read-only, so every caller may share it
+_ONE_BATCH: dict[tuple[int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,14 @@ def _checked(a, k: int) -> np.ndarray:
     return a
 
 
+def _weighted_draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    # the index rng.choice(p.size, p=p) draws, from the same one double of
+    # the stream: its algorithm, without its checks on p
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeanspp(b: np.ndarray, k: int, seed: int) -> np.ndarray:
     # row indices of the k-means++ draws on prepared points b
     m = b.shape[0]
@@ -161,7 +176,7 @@ def _kmeanspp(b: np.ndarray, k: int, seed: int) -> np.ndarray:
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
-            idx = int(rng.choice(m, p=d2 / total))
+            idx = _weighted_draw(rng, d2 / total)
         else:
             remaining = np.setdiff1d(np.arange(m), chosen[:j])
             idx = int(rng.choice(remaining))
@@ -357,15 +372,18 @@ def brute_force_optimal(a, k: int) -> Clustering:
     of columns.  Scaling the data by a power of two leaves every score
     exactly as it was; translating it changes them only by the rounding of
     the column means.  Ties keep the first partition in enumeration order.
+    An enumeration of at most ``_PARTITION_BATCH`` labellings is kept,
+    read-only, for later searches on the same ``(m, k)``.
     """
     a = _checked(a, k)
     m = a.shape[0]
     _require_enumerable(m)
     g = _centred_gram(a)
+    cached = _ONE_BATCH.get((m, k))
     scratch = None
     best_labels = None
     best_obj = np.inf
-    for batch in _partition_batches(m, k):
+    for count, batch in enumerate(_partition_batches(m, k) if cached is None else (cached,), 1):
         if scratch is None:  # sized by the first batch, the largest
             scratch = np.empty((batch.shape[0], k, m)), np.empty((batch.shape[0], k, m))
         objs = _batch_objectives(g, batch, k, scratch)
@@ -373,4 +391,7 @@ def brute_force_optimal(a, k: int) -> Clustering:
         if objs[j] < best_obj:
             best_obj = float(objs[j])
             best_labels = batch[j]
+    if count == 1 and cached is None:
+        batch.flags.writeable = False
+        _ONE_BATCH[m, k] = batch
     return from_labels(best_labels + 1, k)

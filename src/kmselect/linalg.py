@@ -75,8 +75,9 @@ def _valid_seed(seed):
 def _valid_int(x, what: str):
     # the one integer rule for k, r, restarts and trials: a Python or numpy
     # integer, checked, as the seed is, before a function's matrix is read;
-    # each function keeps its own range check
-    if not isinstance(x, (int, np.integer)):
+    # each function keeps its own range check.  bool subclasses int, so it
+    # is refused by name
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ArgumentError(f"{what} must be an integer, got {x!r}")
     return x
 

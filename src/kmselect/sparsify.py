@@ -110,8 +110,12 @@ def _columns(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
 
 
 def identity_plan(n: int) -> SamplingPlan:
-    """The plan that keeps all *n* columns with unit weights."""
-    return _plan(n, range(n), (1.0,) * n)
+    """The plan that keeps all *n* columns with unit weights.
+
+    *n* follows the one integer rule and must be at least 1, else
+    :class:`ArgumentError`.
+    """
+    return _plan(_valid_int(n, "n"), range(n), (1.0,) * n)
 
 
 def apply_plan(a, plan: SamplingPlan) -> np.ndarray:

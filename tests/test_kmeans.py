@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmselect import kmeans
 from kmselect.errors import ArgumentError, ContractViolationError, ResourceLimitError
 from kmselect.kmeans import (
+    _ONE_BATCH,
     _PARTITION_BATCH,
     Clustering,
     _batch_objectives,
@@ -18,6 +20,7 @@ from kmselect.kmeans import (
     _partition_batches,
     _points,
     _rescaled,
+    _weighted_draw,
     brute_force_optimal,
     from_labels,
     indicator,
@@ -195,6 +198,27 @@ def test_kmeanspp_draws_on_data_whose_squares_overflow():
         assert {float(c) for c in centers[:, 0]} <= {1e200, 1.1e200, -1e200}
         scaled = kmeanspp_init(np.ldexp(a, -e), 2, seed)
         np.testing.assert_array_equal(centers, np.ldexp(scaled, e))
+
+
+def test_weighted_draw_is_numpys_choice_on_the_same_stream():
+    # the k-means++ draw repeats Generator.choice(m, p=p) by its algorithm;
+    # a numpy whose choice draws otherwise must fail here, not change plans
+    draws = 0
+    for m in (1, 2, 3, 7, 50, 1000):
+        for trial in range(6):
+            source = np.random.default_rng([m, trial])
+            # integer weights tie exactly, and about a third of them are zero
+            weights = source.integers(0, 3, size=m).astype(float)
+            if trial % 2:
+                weights *= source.random(m)
+            weights[source.integers(m)] += 1.0  # at least one positive weight
+            p = weights / float(weights.sum())
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(300):
+                assert _weighted_draw(ours, p) == int(theirs.choice(m, p=p))
+                assert ours.random() == theirs.random()
+                draws += 1
+    assert draws >= 10_000
 
 
 def test_kmeanspp_argument_error(rng):
@@ -414,6 +438,32 @@ def test_gram_scores_equal_objective_for_every_labelling(rng):
                     scores = np.ldexp(_batch_objectives(g, batch, k, scratch), 2 * e)
                     exact = [objective(a, Clustering(m, k, tuple(row + 1))) for row in batch]
                     np.testing.assert_allclose(scores, exact, rtol=0, atol=1e-12 * total)
+
+
+def test_one_batch_enumerations_are_built_once_and_read_only(monkeypatch):
+    rng = np.random.default_rng(3)
+    searches = []
+    for m in range(1, 10):
+        a = rng.standard_normal((m, 2))
+        for k in range(1, m + 1):
+            expected = np.vstack(list(_partition_batches(m, k)))
+            if expected.shape[0] <= _PARTITION_BATCH:
+                searches.append((a, k, brute_force_optimal(a, k).assignment))
+                assert np.array_equal(_ONE_BATCH[m, k], expected), (m, k)
+                with pytest.raises(ValueError):
+                    _ONE_BATCH[m, k][0, 0] = 1
+
+    def rebuilt(m, k):
+        raise AssertionError(f"enumeration ({m}, {k}) built again")
+
+    monkeypatch.setattr(kmeans, "_partition_batches", rebuilt)
+    for a, k, assignment in searches:
+        assert brute_force_optimal(a, k).assignment == assignment
+
+
+def test_streamed_enumerations_are_not_kept(rng):
+    brute_force_optimal(rng.standard_normal((12, 3)), 5)
+    assert (12, 5) not in _ONE_BATCH
 
 
 def _brute_force_peak_bytes(a, k):

@@ -107,7 +107,7 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_a_non_integer_count_is_an_argument_error_before_the_matrix_is_read(name, value):
     matrix, fn = COUNTS[name]

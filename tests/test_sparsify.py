@@ -64,9 +64,12 @@ def test_plan_json_round_trip():
     ((4, 1, (2,), (True,)), "finite and positive"),
     ((4, 1, (2,), (np.True_,)), "finite and positive"),
     ((4, 1, (2,), (None,)), "finite and positive"),
+    ((True, True, (True,), (1.0,)), "source_dim must be an integer, got True"),
+    ((4, 1, (True,), (1.0,)), "plan index must be an integer, got True"),
 ], ids=["float-index", "str-index", "numpy-float-index", "float-source-dim",
         "float-target-dim", "inf-weight", "numpy-inf-weight", "overflowed-weight",
-        "zero-dims", "str-weight", "bool-weight", "numpy-bool-weight", "none-weight"])
+        "zero-dims", "str-weight", "bool-weight", "numpy-bool-weight", "none-weight",
+        "bool-dims", "bool-index"])
 def test_plan_refuses_non_integer_positions_and_infinite_weights(args, match):
     with pytest.raises(ArgumentError, match=match):
         SamplingPlan(*args)
@@ -97,6 +100,25 @@ def test_plan_takes_numpy_integers_and_floats():
     np.testing.assert_array_equal(
         apply_plan(np.arange(8.0).reshape(2, 4), plan), [[1.5, 0.0], [3.5, 8.0]]
     )
+
+
+@pytest.mark.parametrize("n, match", [
+    (2.5, "n must be an integer, got 2.5"),
+    ("3", "n must be an integer, got '3'"),
+    (None, "n must be an integer, got None"),
+    (True, "n must be an integer, got True"),
+    (0, "plan dimensions must be positive"),
+    (-2, "plan dimensions must be positive"),
+], ids=["float", "str", "none", "bool", "zero", "negative"])
+def test_identity_plan_refuses_a_non_integer_or_empty_width(n, match):
+    with pytest.raises(ArgumentError, match=match):
+        identity_plan(n)
+
+
+def test_identity_plan_takes_a_numpy_integer():
+    plan = identity_plan(np.int64(3))
+    assert plan == identity_plan(3)
+    assert type(plan.target_dim) is int
 
 
 def test_apply_plan_direct_construction():
