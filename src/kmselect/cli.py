@@ -197,13 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="CSV dataset (rows = points)")
-            p.add_argument(
-                "--has-header", action="store_true",
-                help="skip the first CSV row when reading",
-            )
+    def add_io(p):
+        p.add_argument("--input", required=True, help="CSV dataset (rows = points)")
+        p.add_argument(
+            "--has-header", action="store_true",
+            help="skip the first CSV row when reading",
+        )
         p.add_argument("--output", default="-", help="report path, '-' for stdout")
 
     select = sub.add_parser("select", help="run a selection pipeline and cluster the result")

@@ -23,10 +23,11 @@ subtracts the column means and scores every labelling through the
 ``m x m`` Gram matrix ``g`` of the centred points, as
 ``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
 number of columns, and an offset in the data changes the scores only by
-the rounding of the column means.  The labellings are enumerated in
-batches of ``_PARTITION_BATCH``: an enumeration of at most one batch is
-built once per process and reused read-only, and larger ones stream, so
-memory stays bounded by the batch.
+the rounding of the column means.  The labellings are decoded from their
+ranks in lexicographic order, one batch of ``_PARTITION_BATCH`` at a
+time: an enumeration of at most one batch is built once per process and
+reused read-only, and larger ones stream, so memory stays bounded by the
+batch.
 """
 
 from __future__ import annotations
@@ -292,44 +293,31 @@ def _partition_batches(m: int, k: int):
     """Yield all assignments of m items into exactly k non-empty blocks.
 
     Produces (batch, m) int8 arrays of 0-based labels in restricted-growth
-    (lexicographic) order, in slices of ``_PARTITION_BATCH`` rows.  The
-    strings are grown one position at a time: every prefix is extended by
-    each label up to one past its largest (capped at ``k - 1``), and a
-    prefix is dropped once its blocks plus the positions left fall short
-    of ``k``.  The prefixes are grown depth first, at most
-    ``_PARTITION_BATCH`` of one length at a time, so memory stays bounded
-    however many strings there are.
+    (lexicographic) order, in slices of ``_PARTITION_BATCH`` rows.  Each
+    slice is decoded from its ranks ``[j * _PARTITION_BATCH, (j + 1) *
+    _PARTITION_BATCH)`` in one pass over the positions: with ``u`` blocks
+    used, each label below ``u`` takes the next ``completions[i + 1, u]``
+    ranks and the new label ``u`` the rest.  Memory is one batch however
+    many strings there are.
     """
-    pending = np.empty((0, m), dtype=np.int8)
-    for strings in _expand(np.zeros((1, 1), dtype=np.int8), np.ones(1, dtype=np.int8), m, k):
-        pending = np.vstack([pending, strings])
-        while pending.shape[0] >= _PARTITION_BATCH:
-            yield pending[:_PARTITION_BATCH]
-            pending = pending[_PARTITION_BATCH:]
-    if pending.shape[0]:
-        yield pending
-
-
-def _expand(prefixes: np.ndarray, used: np.ndarray, m: int, k: int):
-    # the complete strings below *prefixes* (with *used* blocks each), in
-    # order; a frontier of more than _PARTITION_BATCH prefixes is split
-    # into chunks of that many, each grown to full length before the next
-    for i in range(prefixes.shape[1], m):
-        if used.size > _PARTITION_BATCH:
-            for start in range(0, used.size, _PARTITION_BATCH):
-                stop = start + _PARTITION_BATCH
-                yield from _expand(prefixes[start:stop], used[start:stop], m, k)
-            return
-        counts = np.minimum(used, k - 1) + 1
-        parent = np.repeat(np.arange(used.size), counts)
-        starts = np.cumsum(counts) - counts
-        labels = (np.arange(parent.size) - np.repeat(starts, counts)).astype(np.int8)
-        used = used[parent]
-        used = used + (labels == used)
-        keep = used + (m - 1 - i) >= k
-        prefixes = np.hstack([prefixes[parent[keep]], labels[keep, None]])
-        used = used[keep]
-    yield prefixes[used == k]
+    # completions[i, u]: the ways to label positions i..m-1 after a prefix
+    # of u blocks so that the string has exactly k; S(m, k) = completions[1, 1]
+    completions = np.zeros((m + 1, k + 2), dtype=np.int64)
+    completions[m, k] = 1
+    for i in range(m - 1, 0, -1):
+        completions[i, :-1] = np.arange(k + 1) * completions[i + 1, :-1] + completions[i + 1, 1:]
+    total = int(completions[1, 1])
+    for start in range(0, total, _PARTITION_BATCH):
+        rank = np.arange(start, min(start + _PARTITION_BATCH, total))
+        used = np.ones_like(rank)
+        labels = np.zeros((rank.size, m), dtype=np.int8)
+        for i in range(1, m):
+            each = completions[i + 1, used]
+            new = rank >= used * each
+            labels[:, i] = label = np.where(new, used, rank // np.maximum(each, 1))
+            rank -= label * each
+            used += new
+        yield labels
 
 
 def _centred_gram(a: np.ndarray) -> np.ndarray:

@@ -66,8 +66,9 @@ def _as_2d(a) -> np.ndarray:
 def _valid_seed(seed):
     # the one seed rule, numpy's own: an integer >= 0, checked with a
     # function's other arguments, before its matrix is read.  Where a
-    # signature defaults to None, the caller passes 0 for it.
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    # signature defaults to None, the caller passes 0 for it.  bool
+    # subclasses int, so it is refused by name, as in _valid_int
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 

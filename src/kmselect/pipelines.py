@@ -45,7 +45,6 @@ from .sparsify import (
     apply_plan,
     deterministic_sampling_one,
     deterministic_sampling_two,
-    identity_plan,
     randomized_sampling,
 )
 
@@ -174,12 +173,15 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     stage of ``max(r, ceil(16 k ln(20 k)))`` columns, then deterministically
     narrows to r with the spectrally-capped sampler.  The composed plan
     multiplies the stage weights and routes stage-2 picks through stage-1
-    indices.  Reproducible for a fixed seed.  The first-stage sample is
-    kept when :func:`~kmselect.linalg.svd_top_k` finds rank k in the sampled
-    sketch; the same decomposition then drives the second stage.  A
-    rank-deficient draw (probability at most 0.1) is retried up to three
-    times before :class:`RankFailureError` surfaces.  Needs ``k >= 2``, as
-    :func:`~kmselect.linalg.approx_svd_z` does, and ``r > k``.
+    indices; a first stage as wide as the matrix would keep every column,
+    so the second stage then samples the sketch itself and
+    ``stage1_size`` is ``n``.  Reproducible for a fixed seed.  The
+    first-stage sample is kept when :func:`~kmselect.linalg.svd_top_k`
+    finds rank k in the sampled sketch; the same decomposition then drives
+    the second stage.  A rank-deficient draw (probability at most 0.1) is
+    retried up to three times before :class:`RankFailureError` surfaces.
+    Needs ``k >= 2``, as :func:`~kmselect.linalg.approx_svd_z` does, and
+    ``r > k``.
     """
     a = _as_2d(a)
     _, n = a.shape
@@ -189,10 +191,10 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     z = approx_svd_z(a, k, _child_seed(seed, 0))
     c = stage1_width(k, r)
     if c >= n:
-        # the first stage would keep everything: use the identity plan and
-        # run the deterministic stage on the sketch directly
-        stage1 = identity_plan(n)
-        stage2 = deterministic_sampling_two(z.T, _identity(n), r)
+        # the first stage would keep everything: the deterministic stage
+        # runs on the sketch directly, and its plan is the selection
+        c = n
+        plan = deterministic_sampling_two(z.T, _identity(n), r)
     else:
         for attempt in range(1 + STAGE1_RETRIES):
             stage1 = randomized_sampling(z.T, c, _child_seed(seed, 1 + attempt))
@@ -205,8 +207,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
             raise RankFailureError(
                 f"first-stage sample lost rank k={k} in {1 + STAGE1_RETRIES} attempts"
             )
-        stage2 = deterministic_sampling_two(narrowed.v.T, _identity(c), r)
-    plan = _compose(stage1, stage2)
+        plan = _compose(stage1, deterministic_sampling_two(narrowed.v.T, _identity(c), r))
     return FeatureSelection(
         plan=plan,
         reduced=apply_plan(a, plan),
@@ -214,7 +215,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
         k=k,
         r=r,
         seed=seed,
-        stage1_size=stage1.target_dim,
+        stage1_size=int(c),
         basis=z,
     )
 

@@ -7,7 +7,8 @@ carry the fraction their statement promises.
 
 Where each verdict comes from:
 
-* the sampler suites compare the sampled spectrum and norms, from
+* the sampler suites take their plans from the deterministic pipelines
+  and compare the sampled spectrum and norms, from
   :mod:`~kmselect.linalg`, with the sampler's stated floors and caps;
 * the three theorem suites judge the bound in the report of
   :func:`~kmselect.pipelines.select_then_cluster` with the exhaustive
@@ -34,16 +35,16 @@ import numpy as np
 from .bounds import structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, from_labels, indicator, lloyd_best, objective
-from .linalg import _valid_int, _valid_seed, approx_svd_z, frobenius_norm, sigma_k, svd_top_k
-from .pipelines import _needs_given, _select, _stacked_residual, select_then_cluster
-from .sparsify import (
-    _columns,
-    _identity,
-    apply_plan,
-    deterministic_sampling_one,
-    deterministic_sampling_two,
-    randomized_sampling,
+from .linalg import _valid_int, _valid_seed, approx_svd_z, frobenius_norm, sigma_k
+from .pipelines import (
+    _needs_given,
+    _select,
+    _stacked_residual,
+    select_then_cluster,
+    supervised_select,
+    unsupervised_select,
 )
+from .sparsify import _columns, apply_plan, randomized_sampling
 
 CHECK_SLACK = 1e-9
 MAX_REPORTED_FAILURES = 20
@@ -128,12 +129,12 @@ def sampler_one_trial(seed: int) -> dict:
     m, n, k, r = _SAMPLER_ONE
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
-    top = svd_top_k(a, k)
     given = lloyd_best(a, k, restarts=2, seed=seed)
-    b = _stacked_residual(a, top.v, given)  # the second set supervised_select builds
+    fs = supervised_select(a, given, k, r)
+    plan = fs.plan
+    b = _stacked_residual(a, fs.basis, given)  # the second set that plan sampled
     low_rank_residual, cluster_residual = b[:m], b[m:]
-    plan = deterministic_sampling_one(top.v.T, b, r)
-    sig = sigma_k(apply_plan(top.v.T, plan), k)
+    sig = sigma_k(apply_plan(fs.basis.T, plan), k)
     fro_in = frobenius_norm(b)
     fro_out = frobenius_norm(apply_plan(b, plan))
     b1_out = float(np.square(apply_plan(low_rank_residual, plan)).sum())
@@ -152,13 +153,12 @@ def sampler_two_trial(seed: int) -> dict:
     m, n, k, r = _SAMPLER_TWO
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
-    top = svd_top_k(a, k)
-    plan = deterministic_sampling_two(top.v.T, _identity(n), r)
-    sig = sigma_k(apply_plan(top.v.T, plan), k)
+    fs = unsupervised_select(a, k, r)
+    sig = sigma_k(apply_plan(fs.basis.T, fs.plan), k)
     # the columns of the sampled identity are weighted unit vectors,
     # orthogonal across distinct indices: its Gram matrix is diagonal with
     # the summed squared weights of each index
-    idx, weights = _columns(plan)
+    idx, weights = _columns(fs.plan)
     spec = math.sqrt(float(np.bincount(idx, weights=np.square(weights)).max()))
     return {
         "spectral_floor": sig >= 1.0 - math.sqrt(k / r) - CHECK_SLACK,

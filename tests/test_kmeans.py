@@ -392,6 +392,46 @@ def test_partition_batches_enumerate_restricted_growth_strings_in_order():
             assert np.array_equal(np.vstack(batches), np.array(expected)), (m, k)
 
 
+def _stirling2(m, k):
+    # S(m, k) = k S(m - 1, k) + S(m - 1, k - 1), apart from the enumerator
+    row = [1] + [0] * k  # S(0, 0..k)
+    for _ in range(m):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+def test_partition_batches_list_every_larger_shape_in_strict_order():
+    # the shapes the exhaustive search meets beyond the itertools check
+    for m in range(8, 13):
+        for k in range(1, m + 1):
+            batches = list(_partition_batches(m, k))
+            assert sum(b.shape[0] for b in batches) == _stirling2(m, k), (m, k)
+            assert all(b.shape[0] == _PARTITION_BATCH for b in batches[:-1]), (m, k)
+            previous = -1
+            for b in batches:
+                assert b.dtype == np.int8
+                # restricted growth: each label at most one past those before it
+                reach = np.maximum.accumulate(b, axis=1)
+                assert (b[:, 0] == 0).all() and (b[:, 1:] <= reach[:, :-1] + 1).all(), (m, k)
+                assert (reach[:, -1] == k - 1).all(), (m, k)
+                # base-k digits: numeric order of the codes is lexicographic order
+                codes = b.astype(np.int64) @ k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+                assert previous < codes[0] and (np.diff(codes) > 0).all(), (m, k)
+                previous = codes[-1]
+
+
+def test_partition_batches_hold_one_batch_at_a_time():
+    # S(12, 5) = 1,379,400 labellings, 16.6 MB of int8 in all
+    tracemalloc.start()
+    try:
+        for _ in _partition_batches(12, 5):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_partition_batches_cut_full_batches_first():
     # S(10, 4) = 34105 rows: eight full batches, then the remainder
     sizes = [b.shape[0] for b in _partition_batches(10, 4)]

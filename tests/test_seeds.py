@@ -1,10 +1,11 @@
 """The one seed rule, and the one integer rule beside it.
 
 Every public function that takes a seed accepts an integer >= 0 and
-nothing else, raising :class:`ArgumentError` before its matrix is read.
-Where the signature defaults to ``None``, ``None`` means 0; elsewhere
-``None`` is refused, so no call draws fresh entropy.  The counts ``k``,
-``r``, ``restarts`` and ``trials`` must be integers in the same way.
+nothing else, not even a ``bool``, raising :class:`ArgumentError` before
+its matrix is read.  Where the signature defaults to ``None``, ``None``
+means 0; elsewhere ``None`` is refused, so no call draws fresh entropy.
+The counts ``k``, ``r``, ``restarts`` and ``trials`` must be integers in
+the same way.
 """
 
 import numpy as np
@@ -57,7 +58,7 @@ def comparable(value):
     return value
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3"])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, False])
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_a_bad_seed_is_an_argument_error_before_the_matrix_is_read(name, seed):
     # the matrix holds a NaN, which the finiteness check would report
