@@ -5,12 +5,13 @@ The clustering objective is computed as the centroid sum
 ``||A - X X.T A||_F^2`` through the scaled indicator matrix ``X``, an
 identity the tests and the ``objective-identity`` verify suite check.
 Cluster centroids come from one one-hot matmul kernel, and costs from
-one kernel that works in a single m x n scratch array, both shared by
-the objective and Lloyd.  Backends: seeded k-means++ plus Lloyd refinement,
-and an exhaustive optimal search for small instances.  Both backends
-label points 0-based and a :class:`Clustering` keeps 1-based labels:
-:func:`from_labels` builds every clustering the package returns, and
-``Clustering.labels0`` is the one way back.
+one kernel that works in a single scratch array, both shared by the
+objective and Lloyd and both taking a stack of labellings: one for the
+objective, one per restart for Lloyd.  Backends: seeded k-means++ plus
+Lloyd refinement, and an exhaustive optimal search for small instances.
+Both backends label points 0-based and a :class:`Clustering` keeps
+1-based labels: :func:`from_labels` builds every clustering the package
+returns, and ``Clustering.labels0`` is the one way back.
 
 Every public function checks its arguments, then rescales its points
 once by the package's one rule (``linalg._rescaled``), which is also the
@@ -18,7 +19,11 @@ check that they are finite.  So squared distances of huge or tiny data
 neither overflow nor underflow, and the scaling alone changes no
 comparison and no value.  k-means++ and Lloyd are private
 kernels on the prepared points, and :func:`lloyd_best` ranks restarts by
-the cost its Lloyd kernel computed.  The exhaustive search also
+the cost its Lloyd kernel computed.  The kernels run a chunk of restarts
+in lockstep, as one ``(restarts, m, k)`` stack: each restart keeps its
+own random stream, its own stop and every bit of its result, and leaves
+the stack when it stops, and the chunk size keeps each stacked temporary
+within ``max(m n, _STACK_FLOATS)`` floats.  The exhaustive search also
 subtracts the column means and scores every labelling through the
 ``m x m`` Gram matrix ``g`` of the centred points, as
 ``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
@@ -43,6 +48,9 @@ from .linalg import _as_2d, _at_scale, _rescaled, _valid_int, _valid_seed
 _MAX_ITER = 300
 # Lloyd stops once a step lowers the cost by less than this, at the data's scale
 _TOL = 1e-10
+# lloyd_best runs as many restarts at once as keep each stacked temporary,
+# (restarts, m, max(n, k)) floats, within max(m * n, _STACK_FLOATS)
+_STACK_FLOATS = 2**16
 BRUTE_FORCE_MAX_POINTS = 12
 _PARTITION_BATCH = 4096
 # (m, k) -> the labels of an enumeration that fits one batch, built by
@@ -93,11 +101,11 @@ def from_labels(labels, num_clusters: int | None = None) -> Clustering:
     Labels and *num_clusters* follow the one integer rule: a float or a
     string raises :class:`ArgumentError`, never a truncation.
     """
-    labels = [int(_valid_int(x, "label")) for x in labels]
+    labels = [_valid_int(x, "label") for x in labels]
     if num_clusters is None:
         k = max(labels, default=0)
     else:
-        k = int(_valid_int(num_clusters, "num_clusters"))
+        k = _valid_int(num_clusters, "num_clusters")
     return Clustering(num_points=len(labels), num_clusters=k, assignment=tuple(labels))
 
 
@@ -113,20 +121,37 @@ def indicator(c: Clustering) -> np.ndarray:
     return x
 
 
-def _centroids(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    # k x n cluster means; every label in 0..k-1 must occur
-    onehot = (labels[:, None] == np.arange(k)).astype(float)
-    return (onehot.T @ a) / np.bincount(labels, minlength=k)[:, None]
+def _stack_rows(labels: np.ndarray, k: int) -> np.ndarray:
+    # each label of the (s, m) stack as a row of the stack's (s k) x n
+    # centroids, and as a bin of its (s, k) cluster sizes
+    return labels + k * np.arange(labels.shape[0])[:, None]
 
 
-def _cost(b: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> float:
-    # sum_i ||b_i - centroids[labels_i]||^2, the value and rounding of
-    # np.square(b - centroids[labels]).sum(): gather, difference and squares
-    # all go into the C-ordered m x n scratch *out*.  take's default mode
-    # would buffer its output; the labels are in range, so 'clip' is a no-op
-    np.take(centroids, labels, axis=0, out=out, mode="clip")
+def _sizes(labels: np.ndarray, k: int) -> np.ndarray:
+    # (s, k) cluster sizes of each of the s labellings in *labels* (s, m)
+    s = labels.shape[0]
+    return np.bincount(_stack_rows(labels, k).ravel(), minlength=s * k).reshape(s, k)
+
+
+def _centroids(b: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    # (s, k, n) cluster means of each of the s labellings in *labels*
+    # (s, m), whose (s, k) cluster sizes are all positive.  matmul on the
+    # stack runs one GEMM per labelling, which rounds as the 2-d product
+    # of one labelling does; one (s k) x m product would round otherwise
+    onehot = (labels[:, :, None] == np.arange(sizes.shape[1])).astype(float)
+    return np.matmul(onehot.transpose(0, 2, 1), b) / sizes[:, :, None]
+
+
+def _cost(b: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # (s,) costs sum_i ||b_i - centroids[t, labels[t, i]]||^2: gather,
+    # difference and squares all go into the C-ordered (s, m, n) scratch
+    # *out*, so each cost adds its terms in the row-major order of one
+    # m x n array, whatever the layout of b.  take's default mode would
+    # buffer its output; the labels are in range, so 'clip' is a no-op
+    s, k = centroids.shape[:2]
+    np.take(centroids.reshape(s * k, -1), _stack_rows(labels, k), axis=0, out=out, mode="clip")
     np.subtract(b, out, out=out)
-    return float(np.square(out, out=out).sum())
+    return np.square(out, out=out).reshape(s, -1).sum(axis=1)
 
 
 def objective(a, c: Clustering) -> float:
@@ -143,10 +168,11 @@ def objective(a, c: Clustering) -> float:
         raise ArgumentError(
             f"matrix has {a.shape[0]} rows but the clustering covers {c.num_points} points"
         )
-    labels = c.labels0()
+    labels = c.labels0()[None]
     b, e = _rescaled(a)
-    centroids = _centroids(b, labels, c.num_clusters)
-    return _at_scale(_cost(b, centroids, labels, np.empty(b.shape)), 2 * e, "clustering cost")
+    centroids = _centroids(b, labels, _sizes(labels, c.num_clusters))
+    cost = _cost(b, centroids, labels, np.empty((1, *b.shape)))
+    return _at_scale(float(cost[0]), 2 * e, "clustering cost")
 
 
 def _checked(a, k: int) -> np.ndarray:
@@ -167,22 +193,37 @@ def _weighted_draw(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeanspp(b: np.ndarray, k: int, seed: int) -> np.ndarray:
-    # row indices of the k-means++ draws on prepared points b
+def _sq_dists(b: np.ndarray, centres: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # (s, m) squared distances from the points b to each of s centres, each
+    # the value and rounding of np.square(b - centre).sum(axis=1).  The
+    # C-ordered stack *scratch* of at least s m x n arrays is laid out as
+    # b - centre is, column-major when b is, so each row adds in that order
+    s, (m, n) = len(centres), b.shape
+    out = scratch[:s]
+    if abs(b.strides[0]) < abs(b.strides[1]):
+        out = out.reshape(s, n, m).transpose(0, 2, 1)
+    np.subtract(b, centres[:, None], out=out)
+    return np.square(out, out=out).sum(axis=2)
+
+
+def _kmeanspp(b: np.ndarray, k: int, seeds, scratch: np.ndarray) -> np.ndarray:
+    # (s, k) row indices of the k-means++ draws on prepared points b, one
+    # row per seed, drawn in lockstep: each seed's stream makes the draws
+    # it makes alone.  *scratch* holds at least s m x n arrays
     m = b.shape[0]
-    rng = np.random.default_rng(seed)
-    chosen = np.empty(k, dtype=int)
-    chosen[0] = rng.integers(m)
-    d2 = np.square(b - b[chosen[0]]).sum(axis=1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    chosen = np.empty((len(rngs), k), dtype=int)
+    chosen[:, 0] = [rng.integers(m) for rng in rngs]
+    d2 = _sq_dists(b, b[chosen[:, 0]], scratch)
     for j in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            idx = _weighted_draw(rng, d2 / total)
-        else:
-            remaining = np.setdiff1d(np.arange(m), chosen[:j])
-            idx = int(rng.choice(remaining))
-        chosen[j] = idx
-        d2 = np.minimum(d2, np.square(b - b[idx]).sum(axis=1))
+        totals = d2.sum(axis=1)
+        for t, rng in enumerate(rngs):
+            if totals[t] > 0.0:
+                chosen[t, j] = _weighted_draw(rng, d2[t] / totals[t])
+            else:
+                remaining = np.setdiff1d(np.arange(m), chosen[t, :j])
+                chosen[t, j] = rng.choice(remaining)
+        np.minimum(d2, _sq_dists(b, b[chosen[:, j]], scratch), out=d2)
     return chosen
 
 
@@ -199,30 +240,36 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
     """
     a = _checked(a, k)
     _valid_seed(seed)
-    return a[_kmeanspp(_rescaled(a)[0], k, seed)]
+    b = _rescaled(a)[0]
+    return a[_kmeanspp(b, k, (seed,), np.empty((1, *b.shape)))[0]]
 
 
 class _Points(NamedTuple):
     # prepared points b with what every Lloyd step reuses: squared row
-    # norms, 2 b for the cross term, and the m x n scratch of _cost
+    # norms, 2 b for the cross term, and the C-ordered (s, m, n) scratch
+    # that _kmeanspp and _cost share, for a stack of up to s runs
     b: np.ndarray
     sq: np.ndarray
     twice: np.ndarray
     scratch: np.ndarray
 
 
-def _points(b: np.ndarray) -> _Points:
-    return _Points(b, np.square(b).sum(axis=1), 2.0 * b, np.empty(b.shape))
+def _points(b: np.ndarray, runs: int) -> _Points:
+    return _Points(b, np.square(b).sum(axis=1), 2.0 * b, np.empty((runs, *b.shape)))
 
 
 def _assign(p: _Points, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # squared distances m x k; argmin breaks ties toward the smallest index
-    d2 = p.sq[:, None] - p.twice @ centroids.T + np.square(centroids).sum(axis=1)[None, :]
-    return d2.argmin(axis=1), d2
+    # (s, m) labels and (s, m, k) squared distances to each run's (k, n)
+    # centroids; argmin breaks ties toward the smallest index
+    cross = np.matmul(p.twice, centroids.transpose(0, 2, 1))
+    d2 = p.sq[:, None] - cross + np.square(centroids).sum(axis=2)[:, None, :]
+    return d2.argmin(axis=2), d2
 
 
-def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
-    sizes = np.bincount(labels, minlength=k)
+def _repair_empty(labels: np.ndarray, d2: np.ndarray, sizes: np.ndarray) -> None:
+    # reseed, in place, each empty cluster of one run's labels with the
+    # point farthest from its centroid among clusters of two or more, and
+    # keep the run's cluster *sizes* up to date
     for j in np.flatnonzero(sizes == 0):
         donors = np.flatnonzero(sizes[labels] >= 2)
         own_dist = d2[donors, labels[donors]]
@@ -230,31 +277,52 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
         sizes[labels[moved]] -= 1
         labels[moved] = j
         sizes[j] = 1
-    return labels
 
 
-def _lloyd(p: _Points, k: int, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    # 0-based labels and their cost on prepared points, by the kernel
-    # objective uses; tol is at the scale of p.b
-    prev_obj, prev_labels = np.inf, None
-    for _ in range(_MAX_ITER):
+def _lloyd(p: _Points, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # (s, m) 0-based labels and (s,) costs of s Lloyd runs from the stacked
+    # (s, k, n) centroids on prepared points, by the kernels objective
+    # uses.  The runs advance in lockstep; each takes the steps, the stop
+    # and the cost it takes alone, and leaves the stack when it stops.  tol
+    # is at the scale of p.b
+    s, k = centroids.shape[:2]
+    labels_out, costs_out = np.empty((s, p.b.shape[0]), dtype=np.intp), np.empty(s)
+    live = np.arange(s)
+    # no labelling repeats these, and every first cost is below inf
+    prev_labels, prev_obj = np.full(labels_out.shape, -1), np.full(s, np.inf)
+    for step in range(_MAX_ITER):
         labels, d2 = _assign(p, centroids)
-        labels = _repair_empty(labels, d2, k)
-        centroids = _centroids(p.b, labels, k)
-        obj = _cost(p.b, centroids, labels, p.scratch)
-        if prev_labels is not None:
-            assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj), (
-                f"objective increased: {prev_obj} -> {obj}"
-            )
-            if np.array_equal(labels, prev_labels) or prev_obj - obj < tol:
+        sizes = _sizes(labels, k)
+        for t in np.flatnonzero((sizes == 0).any(axis=1)):
+            _repair_empty(labels[t], d2[t], sizes[t])
+        # a repeated labelling has the centroids and cost of the step before
+        same = (labels == prev_labels).all(axis=1)
+        if same.any():
+            labels_out[live[same]], costs_out[live[same]] = labels[same], prev_obj[same]
+            live, labels, sizes = live[~same], labels[~same], sizes[~same]
+            prev_obj = prev_obj[~same]
+            if not live.size:
                 break
-        prev_obj, prev_labels = obj, labels
-    return labels, obj
+        centroids = _centroids(p.b, labels, sizes)
+        obj = _cost(p.b, centroids, labels, p.scratch[:live.size])
+        assert (obj <= prev_obj + 1e-9 * np.maximum(1.0, prev_obj)).all(), (
+            f"objective increased: {prev_obj} -> {obj}"
+        )
+        stop = (prev_obj - obj < tol) | (step == _MAX_ITER - 1)
+        if stop.any():
+            labels_out[live[stop]], costs_out[live[stop]] = labels[stop], obj[stop]
+            live, labels, obj, centroids = live[~stop], labels[~stop], obj[~stop], centroids[~stop]
+            if not live.size:
+                break
+        prev_labels, prev_obj = labels, obj
+    return labels_out, costs_out
 
 
-def _require_restarts(restarts: int) -> None:
-    if _valid_int(restarts, "restarts") < 1:
+def _require_restarts(restarts: int) -> int:
+    restarts = _valid_int(restarts, "restarts")
+    if restarts < 1:
         raise ArgumentError(f"need at least one restart, got {restarts}")
+    return restarts
 
 
 def lloyd(a, k: int, seed: int | None = None) -> Clustering:
@@ -276,17 +344,30 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     stay finite and non-zero; a tolerance whose rescaled value overflows
     lets every decrease stop a run.  Restarts are ranked by their final
     cost there, the value :func:`objective` gives.
+
+    The restarts run in lockstep, in chunks: a chunk's seedings and Lloyd
+    steps work on one stack of its restarts, and each restart leaves the
+    stack when it stops, with the labels and cost it has when run alone.
+    A chunk holds as many restarts as keep every stacked temporary within
+    ``max(m * n, 2**16)`` floats, so memory does not grow with *restarts*.
     """
     a = _checked(a, k)
-    _require_restarts(restarts)
+    restarts = _require_restarts(restarts)
     base = _valid_seed(0 if seed is None else seed)
     b, e = _rescaled(a)
     with np.errstate(over="ignore"):  # saturates at inf, below which every decrease falls
         tol = float(np.ldexp(_TOL, -2 * e))
-    p = _points(b)
-    runs = (_lloyd(p, k, b[_kmeanspp(b, k, base + t)], tol) for t in range(restarts))
-    labels = min(runs, key=lambda run: run[1])[0]  # the first of equal costs wins
-    return from_labels(labels + 1, k)
+    m, n = b.shape
+    per = min(restarts, max(1, max(m * n, _STACK_FLOATS) // (m * max(n, k))))
+    p = _points(b, per)
+    best, best_cost = None, np.inf
+    for start in range(0, restarts, per):
+        seeds = range(base + start, base + min(start + per, restarts))
+        labels, costs = _lloyd(p, b[_kmeanspp(b, k, seeds, p.scratch)], tol)
+        t = int(costs.argmin())  # the first of equal costs wins, here and across chunks
+        if costs[t] < best_cost:
+            best, best_cost = labels[t], costs[t]
+    return from_labels(best + 1, k)
 
 
 def _partition_batches(m: int, k: int):

@@ -65,22 +65,24 @@ def _as_2d(a) -> np.ndarray:
 
 def _valid_seed(seed):
     # the one seed rule, numpy's own: an integer >= 0, checked with a
-    # function's other arguments, before its matrix is read.  Where a
-    # signature defaults to None, the caller passes 0 for it.  bool
-    # subclasses int, so it is refused by name, as in _valid_int
+    # function's other arguments, before its matrix is read, and returned
+    # as a Python int.  Where a signature defaults to None, the caller
+    # passes 0 for it.  bool subclasses int, so it is refused by name, as
+    # in _valid_int
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return int(seed)
 
 
 def _valid_int(x, what: str):
     # the one integer rule for k, r, restarts and trials: a Python or numpy
-    # integer, checked, as the seed is, before a function's matrix is read;
-    # each function keeps its own range check.  bool subclasses int, so it
-    # is refused by name
+    # integer, checked, as the seed is, before a function's matrix is read,
+    # and returned as a Python int, the type every output echoes; each
+    # function keeps its own range check.  bool subclasses int, so it is
+    # refused by name
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ArgumentError(f"{what} must be an integer, got {x!r}")
-    return x
+    return int(x)
 
 
 def as_matrix(a) -> np.ndarray:

@@ -83,9 +83,12 @@ class FeatureSelection:
         }
 
 
-def _validate_window(k: int, r: int, n: int) -> None:
-    if not _valid_int(k, "k") < _valid_int(r, "r") < n:
+def _validate_window(k: int, r: int, n: int) -> tuple[int, int]:
+    # k and r as Python ints, once k < r < n holds
+    k, r = _valid_int(k, "k"), _valid_int(r, "r")
+    if not k < r < n:
         raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
+    return k, r
 
 
 def _require_covers(given: Clustering, m: int) -> None:
@@ -117,7 +120,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     """
     a = _as_2d(a)
     m, n = a.shape
-    _validate_window(k, r, n)
+    k, r = _validate_window(k, r, n)
     _require_covers(given, m)
     if given.num_clusters != k:
         raise ArgumentError(
@@ -141,7 +144,7 @@ def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
     """
     a = _as_2d(a)
     _, n = a.shape
-    _validate_window(k, r, n)
+    k, r = _validate_window(k, r, n)
     top = svd_top_k(a, k)
     plan = deterministic_sampling_two(top.v.T, _identity(n), r)
     return FeatureSelection(
@@ -163,7 +166,7 @@ def _compose(stage1: SamplingPlan, stage2: SamplingPlan) -> SamplingPlan:
 
 def stage1_width(k: int, r: int) -> int:
     """First-stage sample count ``max(r, ceil(16 k ln(20 k)))``."""
-    return max(r, math.ceil(16.0 * k * math.log(20.0 * k)))
+    return max(_valid_int(r, "r"), math.ceil(16.0 * k * math.log(20.0 * k)))
 
 
 def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
@@ -185,9 +188,10 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     """
     a = _as_2d(a)
     _, n = a.shape
-    if _valid_int(r, "r") <= _valid_int(k, "k"):
+    r, k = _valid_int(r, "r"), _valid_int(k, "k")
+    if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    _valid_seed(seed)
+    seed = _valid_seed(seed)
     z = approx_svd_z(a, k, _child_seed(seed, 0))
     c = stage1_width(k, r)
     if c >= n:
@@ -215,7 +219,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
         k=k,
         r=r,
         seed=seed,
-        stage1_size=int(c),
+        stage1_size=c,
         basis=z,
     )
 
@@ -276,13 +280,15 @@ def select_then_cluster(
         raise ArgumentError(f"unknown method {method!r}, expected one of {METHODS}")
     if backend not in BACKENDS:
         raise ArgumentError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-    _valid_seed(0 if seed is None else seed)
+    if seed is not None:
+        seed = _valid_seed(seed)
     if backend == "brute":
         _require_enumerable(m)
     else:
-        _require_restarts(restarts)
+        restarts = _require_restarts(restarts)
     if given is not None:
         _require_covers(given, m)
+    k, r = _valid_int(k, "k"), _valid_int(r, "r")
     fs = _select(a, k, r, method, seed, given)
     out, gamma = _cluster(fs.reduced, k, backend, restarts, seed)
     obj_reduced = objective(fs.reduced, out)

@@ -20,6 +20,7 @@ from kmselect.kmeans import (
     _partition_batches,
     _points,
     _rescaled,
+    _sq_dists,
     _weighted_draw,
     brute_force_optimal,
     from_labels,
@@ -249,8 +250,8 @@ def _lloyd_from(a, init):
     # and centroids rescaled alike; it stops only when the labels repeat
     b, e = _rescaled(np.asarray(a, dtype=float))
     init = np.ldexp(np.asarray(init, dtype=float), -e)
-    labels, _ = _lloyd(_points(b), init.shape[0], init, 0.0)
-    return Clustering(b.shape[0], init.shape[0], tuple(int(x) + 1 for x in labels))
+    labels, _ = _lloyd(_points(b, 1), init[None], 0.0)
+    return Clustering(b.shape[0], init.shape[0], tuple(int(x) + 1 for x in labels[0]))
 
 
 def test_lloyd_fixed_point_distinct_points(rng):
@@ -333,6 +334,181 @@ def test_lloyd_emits_no_overflow_warning_on_tiny_data(rng):
         assert lloyd(a, 3, seed=1).num_clusters == 3
         best = lloyd_best(a, 3, restarts=5, seed=2)
     assert best == _first_cheapest_restart(a, 3, 5, 2, 530)
+
+
+# The per-restart k-means++ and Lloyd that lloyd_best ran before its
+# restarts advanced in lockstep, kept as the reference the stacked kernel
+# must match bit for bit: the same draws from each restart's own stream,
+# the same 2-d products and sums, and the same stop rule.
+
+
+def _reference_kmeanspp(b, k, seed):
+    m = b.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = np.empty(k, dtype=int)
+    chosen[0] = rng.integers(m)
+    d2 = np.square(b - b[chosen[0]]).sum(axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = _weighted_draw(rng, d2 / total)
+        else:
+            remaining = np.setdiff1d(np.arange(m), chosen[:j])
+            idx = int(rng.choice(remaining))
+        chosen[j] = idx
+        d2 = np.minimum(d2, np.square(b - b[idx]).sum(axis=1))
+    return chosen
+
+
+def _reference_lloyd(b, k, centroids, tol):
+    sq, twice = np.square(b).sum(axis=1), 2.0 * b
+    prev_obj, prev_labels = np.inf, None
+    for _ in range(kmeans._MAX_ITER):
+        d2 = sq[:, None] - twice @ centroids.T + np.square(centroids).sum(axis=1)[None, :]
+        labels = d2.argmin(axis=1)
+        sizes = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            donors = np.flatnonzero(sizes[labels] >= 2)
+            moved = donors[int(d2[donors, labels[donors]].argmax())]
+            sizes[labels[moved]] -= 1
+            labels[moved] = j
+            sizes[j] = 1
+        onehot = (labels[:, None] == np.arange(k)).astype(float)
+        centroids = (onehot.T @ b) / np.bincount(labels, minlength=k)[:, None]
+        gathered = np.empty(b.shape)  # C-ordered whatever the layout of b
+        np.take(centroids, labels, axis=0, out=gathered)
+        obj = float(np.square(b - gathered, out=gathered).sum())
+        if prev_labels is not None:
+            assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj)
+            if np.array_equal(labels, prev_labels) or prev_obj - obj < tol:
+                break
+        prev_obj, prev_labels = obj, labels
+    return labels, obj
+
+
+def _reference_runs(a, k, restarts, seed):
+    # (restarts, m) labels and (restarts,) costs, one restart at a time
+    b, e = _rescaled(a)
+    with np.errstate(over="ignore"):
+        tol = float(np.ldexp(kmeans._TOL, -2 * e))
+    runs = [_reference_lloyd(b, k, b[_reference_kmeanspp(b, k, seed + t)], tol)
+            for t in range(restarts)]
+    return np.array([labels for labels, _ in runs]), np.array([cost for _, cost in runs])
+
+
+def _laid_out(a, t):
+    # a itself, or its values in column-major order, as a column-strided
+    # view, or as a view with negative strides: the layout decides the order
+    # in which numpy adds along a row, so the kernels must follow it
+    if t % 4 == 1:
+        return np.asfortranarray(a)
+    if t % 4 == 2:
+        return np.asfortranarray(np.repeat(a, 2, axis=1))[:, ::2]
+    if t % 4 == 3:
+        return np.ascontiguousarray(a[::-1])[::-1]
+    return a
+
+
+def _lockstep_corpus():
+    # (a, k, restarts, seed): Gaussian, duplicate, constant, mixed-scale and
+    # tied points at scales 1 and 2**+-664, in four memory layouts, k = 1
+    # and k = m among the rest
+    cases = []
+    for t in range(800):
+        local = np.random.default_rng([20, t])
+        m, n = int(local.integers(1, 16)), int(local.integers(1, 6))
+        a = local.standard_normal((m, n))
+        kind = t % 5
+        if kind == 1:
+            a[m // 2:] = a[: m - m // 2]
+        elif kind == 2:
+            a[:] = a[0]
+        elif kind == 3:
+            a[:, :1] *= 1e-6
+        elif kind == 4:
+            a = np.round(a)
+        k = (1, m, int(local.integers(1, m + 1)))[min(t % 7, 2)]
+        restarts = (1, 2, 7, 13, 50)[t // 5 % 5]
+        cases.append((_laid_out(np.ldexp(a, (0, 664, -664)[t % 3]), t), k, restarts, t))
+    # the rescaled tolerance saturates at inf, so every decrease stops a run
+    for t in range(10):
+        local = np.random.default_rng([21, t])
+        a = (local.standard_normal((30, 3)) + local.integers(0, 3, size=(30, 1))) * 1e-160
+        cases.append((_laid_out(a, t), 3, 13, t))
+    # stacks the default budget cuts into chunks, and one restart per chunk
+    # on points column-major as a selection's reduced matrix is
+    cases.append((np.random.default_rng(22).standard_normal((300, 20)), 5, 13, 4))
+    tall = np.random.default_rng(23).standard_normal((2000, 50))
+    cases.append((np.asfortranarray(tall), 10, 2, 7))
+    return cases
+
+
+def test_lloyd_best_restarts_are_the_per_restart_runs_bit_for_bit(monkeypatch):
+    chunks = []
+    real = kmeans._lloyd
+
+    def recorded(p, centroids, tol):
+        labels, costs = real(p, centroids, tol)
+        chunks.append((labels.copy(), costs.copy()))
+        return labels, costs
+
+    monkeypatch.setattr(kmeans, "_lloyd", recorded)
+    # one pass at the default budget, and one at a budget so small that
+    # most stacks split into chunks of a few restarts
+    budgets = {"default": kmeans._STACK_FLOATS, "small": 256}
+    stacked = dict.fromkeys(budgets, 0)
+    for a, k, restarts, seed in _lockstep_corpus():
+        want_labels, want_costs = _reference_runs(a, k, restarts, seed)
+        for name, budget in budgets.items():
+            monkeypatch.setattr(kmeans, "_STACK_FLOATS", budget)
+            chunks.clear()
+            best = lloyd_best(a, k, restarts, seed)
+            stacked[name] += len(chunks) > 1 and any(len(costs) > 1 for _, costs in chunks)
+            got_labels = np.concatenate([labels for labels, _ in chunks])
+            got_costs = np.concatenate([costs for _, costs in chunks])
+            assert np.array_equal(got_labels, want_labels), (name, a.shape, k, restarts, seed)
+            assert np.array_equal(got_costs, want_costs), (name, a.shape, k, restarts, seed)
+            assert best.assignment == tuple(want_labels[int(np.argmin(want_costs))] + 1)
+        assert lloyd(a, k, seed).assignment == tuple(want_labels[0] + 1)
+        want_seeds = a[_reference_kmeanspp(_rescaled(a)[0], k, seed)]
+        assert np.array_equal(kmeanspp_init(a, k, seed), want_seeds)
+    # restarts crossed chunk boundaries with several restarts in a chunk
+    assert stacked["default"] >= 1 and stacked["small"] >= 100, stacked
+
+
+def test_stacked_squared_distances_add_in_the_order_of_the_points_layout():
+    # numpy sums a row of a column-major array term by term and a row of a
+    # row-major one pairwise; with 50 columns the two round differently, so
+    # k-means++ must lay its stack out as b - b[i] is, in every layout
+    base = np.random.default_rng(24).standard_normal((400, 100)) * np.logspace(-3, 3, 100)
+    wide = np.asfortranarray(base)
+    layouts = [base[:, :50], np.ascontiguousarray(base[:, :50]), wide[:, :50], wide[:, ::2],
+               base[::2, ::2], base[::-1, :50], wide[:, ::-2], np.ascontiguousarray(base.T)[:50].T,
+               wide[::-1, ::-2]]
+    picks = np.array([3, 17, 17, 150])
+    for b in layouts:
+        expected = [np.square(b - b[i]).sum(axis=1) for i in picks]
+        stacked = _sq_dists(b, b[picks], np.empty((5, *b.shape)))
+        assert np.array_equal(stacked, expected), b.strides
+
+
+def _lloyd_best_peak_bytes(a, k, restarts):
+    tracemalloc.start()
+    try:
+        lloyd_best(a, k, restarts, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lloyd_best_memory_does_not_grow_with_restarts(rng):
+    # on 2000 x 50 each chunk holds one restart, so the peak is 2 b and one
+    # m x n scratch however many restarts run; 3.3e6 bytes is what running
+    # the restarts one after another took
+    a = rng.standard_normal((2000, 50))
+    lloyd_best(a, 10, 1, 0)  # numpy's one-time allocations, outside both peaks
+    few, many = _lloyd_best_peak_bytes(a, 10, 5), _lloyd_best_peak_bytes(a, 10, 50)
+    assert many <= 1.1 * few and many <= 3.3e6, (few, many)
 
 
 def test_lloyd_argument_errors(rng):

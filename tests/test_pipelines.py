@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -208,6 +209,7 @@ def test_stage1_width_constant():
     assert stage1_width(2, 6) == max(6, 119)
     assert stage1_width(2, 300) == 300
     assert stage1_width(2, 6) == math.ceil(16 * 2 * math.log(40.0))
+    assert type(stage1_width(np.int64(2), np.int64(500))) is int
 
 
 def test_randomized_degenerate_stage1_keeps_everything(rng):
@@ -342,6 +344,24 @@ def test_report_lloyd_backend_certifies_nothing(rng):
     assert report["gamma_certified"] is False
     assert report["bound"] is None and report["bound_holds"] is None
     assert report["objective_reduced"] > 0.0
+
+
+@pytest.mark.parametrize("backend", ["lloyd", "brute"])
+@pytest.mark.parametrize("method", ["supervised", "unsupervised", "randomized"])
+def test_report_takes_numpy_integers_and_echoes_python_ints(rng, method, backend):
+    # the integer rule accepts numpy integers; the report and its selection
+    # echo them as Python ints, so the report is plain JSON.  150 columns
+    # keep the randomized first stage (119 columns) narrower than the matrix
+    a = rng.standard_normal((10, 150))
+    given = lloyd_best(a, 2, restarts=2, seed=0) if method == "supervised" else None
+    report = select_then_cluster(a, np.int64(2), np.int64(4), method, backend,
+                                 seed=np.int64(3), restarts=np.int64(5), given=given)
+    json.dumps(report)
+    selection = report["selection"]
+    echoed = [report[key] for key in ("k", "r", "seed", "restarts")]
+    echoed += [selection[key] for key in ("k", "r", "seed", "stage1_size")]
+    assert all(v is None or type(v) is int for v in echoed), echoed
+    assert None not in echoed[:3] and selection["k"] == 2
 
 
 def test_report_validation_errors(rng):
