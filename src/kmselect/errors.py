@@ -18,12 +18,15 @@ class RankDeficiencyError(SelectionError):
 
 
 class NumericalSearchError(SelectionError):
-    """The greedy column search failed at some iteration.
+    """An iterative search broke down at some step.
 
-    Existence of an admissible column is guaranteed in exact arithmetic, so
-    this error only signals floating-point breakdown.  ``step`` records the
-    iteration counter and ``diagnostics`` holds barrier/eigenvalue state at
-    the point of failure.
+    The greedy column search raises it when no admissible column is left,
+    and Lloyd refinement when a step raises the k-means cost.  Exact
+    arithmetic rules out both, so this error only signals floating-point
+    breakdown.  ``step`` records the iteration counter and ``diagnostics``
+    holds the state at the point of failure: barrier/eigenvalue values for
+    the column search; for Lloyd, the restart's ``seed`` and its
+    ``previous_cost`` and ``cost``, on the rescaled points.
     """
 
     def __init__(self, message, *, step=None, diagnostics=None):

@@ -5,9 +5,10 @@ The clustering objective is computed as the centroid sum
 ``||A - X X.T A||_F^2`` through the scaled indicator matrix ``X``, an
 identity the tests and the ``objective-identity`` verify suite check.
 Cluster centroids come from one one-hot matmul kernel, and costs from
-one kernel that works in a single scratch array, both shared by the
-objective and Lloyd and both taking a stack of labellings: one for the
-objective, one per restart for Lloyd.  Backends: seeded k-means++ plus
+one kernel that gathers, subtracts and squares in one array of its own,
+both shared by the objective and Lloyd and both taking a stack of
+labellings: one for the objective, one per restart for Lloyd.  Each
+kernel allocates its own temporaries.  Backends: seeded k-means++ plus
 Lloyd refinement, and an exhaustive optimal search for small instances.
 Both backends label points 0-based and a :class:`Clustering` keeps
 1-based labels: :func:`from_labels` builds every clustering the package
@@ -38,11 +39,10 @@ batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolationError, ResourceLimitError
+from .errors import ArgumentError, ContractViolationError, NumericalSearchError, ResourceLimitError
 from .linalg import _as_2d, _at_scale, _rescaled, _valid_int, _valid_seed
 
 _MAX_ITER = 300
@@ -64,7 +64,10 @@ class Clustering:
     """Assignment of ``num_points`` points to ``num_clusters`` non-empty clusters.
 
     ``assignment`` holds one 1-based label per point; every label in
-    ``1..num_clusters`` must occur at least once.
+    ``1..num_clusters`` must occur at least once.  The counts and labels
+    follow the one integer rule: a float, a bool or a string raises
+    :class:`ArgumentError`, never a truncation, and each is kept as a
+    Python ``int``.
     """
 
     num_points: int
@@ -72,15 +75,18 @@ class Clustering:
     assignment: tuple
 
     def __post_init__(self):
-        m, k = self.num_points, self.num_clusters
+        m = _valid_int(self.num_points, "num_points")
+        k = _valid_int(self.num_clusters, "num_clusters")
         if m < 1 or k < 1 or k > m:
             raise ArgumentError(f"invalid clustering shape: m={m}, k={k}")
         if len(self.assignment) != m:
             raise ArgumentError("assignment must have one label per point")
-        labels = np.asarray(self.assignment, dtype=int)
-        if labels.min() < 1 or labels.max() > k:
+        labels = tuple(_valid_int(x, "label") for x in self.assignment)
+        for name, value in (("num_points", m), ("num_clusters", k), ("assignment", labels)):
+            object.__setattr__(self, name, value)  # frozen: set once, here
+        if min(labels) < 1 or max(labels) > k:
             raise ContractViolationError("labels must lie in 1..num_clusters")
-        if np.unique(labels).size != k:
+        if len(set(labels)) != k:
             raise ContractViolationError("every cluster must be non-empty")
 
     def labels0(self) -> np.ndarray:
@@ -90,7 +96,7 @@ class Clustering:
     def to_dict(self, objective_value: float) -> dict:
         return {
             "k": self.num_clusters,
-            "assignment": [int(x) for x in self.assignment],
+            "assignment": list(self.assignment),
             "objective": float(objective_value),
         }
 
@@ -99,14 +105,13 @@ def from_labels(labels, num_clusters: int | None = None) -> Clustering:
     """Build a Clustering from an iterable of 1-based integer labels.
 
     Labels and *num_clusters* follow the one integer rule: a float or a
-    string raises :class:`ArgumentError`, never a truncation.
+    string raises :class:`ArgumentError`, never a truncation.  Without
+    *num_clusters*, the largest label is the cluster count.
     """
-    labels = [_valid_int(x, "label") for x in labels]
+    labels = tuple(labels)
     if num_clusters is None:
-        k = max(labels, default=0)
-    else:
-        k = _valid_int(num_clusters, "num_clusters")
-    return Clustering(num_points=len(labels), num_clusters=k, assignment=tuple(labels))
+        num_clusters = max((_valid_int(x, "label") for x in labels), default=0)
+    return Clustering(len(labels), num_clusters, labels)
 
 
 def indicator(c: Clustering) -> np.ndarray:
@@ -127,12 +132,6 @@ def _stack_rows(labels: np.ndarray, k: int) -> np.ndarray:
     return labels + k * np.arange(labels.shape[0])[:, None]
 
 
-def _sizes(labels: np.ndarray, k: int) -> np.ndarray:
-    # (s, k) cluster sizes of each of the s labellings in *labels* (s, m)
-    s = labels.shape[0]
-    return np.bincount(_stack_rows(labels, k).ravel(), minlength=s * k).reshape(s, k)
-
-
 def _centroids(b: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     # (s, k, n) cluster means of each of the s labellings in *labels*
     # (s, m), whose (s, k) cluster sizes are all positive.  matmul on the
@@ -142,14 +141,13 @@ def _centroids(b: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarr
     return np.matmul(onehot.transpose(0, 2, 1), b) / sizes[:, :, None]
 
 
-def _cost(b: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # (s,) costs sum_i ||b_i - centroids[t, labels[t, i]]||^2: gather,
-    # difference and squares all go into the C-ordered (s, m, n) scratch
-    # *out*, so each cost adds its terms in the row-major order of one
-    # m x n array, whatever the layout of b.  take's default mode would
-    # buffer its output; the labels are in range, so 'clip' is a no-op
+def _cost(b: np.ndarray, centroids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # (s,) costs sum_i ||b_i - c[rows[t, i]]||^2, c the (s k) x n rows of
+    # the stacked (s, k, n) centroids: gather, difference and squares all go
+    # into one C-ordered (s, m, n) array, so each cost adds its terms in the
+    # row-major order of one m x n array, whatever the layout of b
     s, k = centroids.shape[:2]
-    np.take(centroids.reshape(s * k, -1), _stack_rows(labels, k), axis=0, out=out, mode="clip")
+    out = np.take(centroids.reshape(s * k, -1), rows, axis=0)
     np.subtract(b, out, out=out)
     return np.square(out, out=out).reshape(s, -1).sum(axis=1)
 
@@ -160,8 +158,8 @@ def objective(a, c: Clustering) -> float:
     Computed as the sum of squared distances of points to their cluster
     centroids; equal to ``||a - x @ x.T @ a||_F^2`` for the indicator
     matrix ``x``.  The sum is taken on the rescaled points, in one m x n
-    scratch array, and scaled back exactly; a cost beyond the float64
-    range raises :class:`ContractViolationError`.
+    array, and scaled back exactly; a cost beyond the float64 range raises
+    :class:`ContractViolationError`.
     """
     a = _as_2d(a)
     if a.shape[0] != c.num_points:
@@ -170,9 +168,9 @@ def objective(a, c: Clustering) -> float:
         )
     labels = c.labels0()[None]
     b, e = _rescaled(a)
-    centroids = _centroids(b, labels, _sizes(labels, c.num_clusters))
-    cost = _cost(b, centroids, labels, np.empty((1, *b.shape)))
-    return _at_scale(float(cost[0]), 2 * e, "clustering cost")
+    # a stack of one labelling: its labels are its rows of the centroids
+    centroids = _centroids(b, labels, np.bincount(labels[0], minlength=c.num_clusters)[None])
+    return _at_scale(float(_cost(b, centroids, labels)[0]), 2 * e, "clustering cost")
 
 
 def _checked(a, k: int) -> np.ndarray:
@@ -193,28 +191,25 @@ def _weighted_draw(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _sq_dists(b: np.ndarray, centres: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _sq_dists(b: np.ndarray, centres: np.ndarray) -> np.ndarray:
     # (s, m) squared distances from the points b to each of s centres, each
-    # the value and rounding of np.square(b - centre).sum(axis=1).  The
-    # C-ordered stack *scratch* of at least s m x n arrays is laid out as
-    # b - centre is, column-major when b is, so each row adds in that order
-    s, (m, n) = len(centres), b.shape
-    out = scratch[:s]
-    if abs(b.strides[0]) < abs(b.strides[1]):
-        out = out.reshape(s, n, m).transpose(0, 2, 1)
-    np.subtract(b, centres[:, None], out=out)
-    return np.square(out, out=out).sum(axis=2)
+    # the value and rounding of np.square(b - centre).sum(axis=1): numpy lays
+    # the stacked difference out as b is laid out, column-major when b is,
+    # so each row adds in that order.  Squaring it in place keeps the
+    # layout and skips a second (s, m, n) array
+    d = b - centres[:, None]
+    return np.square(d, out=d).sum(axis=2)
 
 
-def _kmeanspp(b: np.ndarray, k: int, seeds, scratch: np.ndarray) -> np.ndarray:
+def _kmeanspp(b: np.ndarray, k: int, seeds) -> np.ndarray:
     # (s, k) row indices of the k-means++ draws on prepared points b, one
     # row per seed, drawn in lockstep: each seed's stream makes the draws
-    # it makes alone.  *scratch* holds at least s m x n arrays
+    # it makes alone
     m = b.shape[0]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     chosen = np.empty((len(rngs), k), dtype=int)
     chosen[:, 0] = [rng.integers(m) for rng in rngs]
-    d2 = _sq_dists(b, b[chosen[:, 0]], scratch)
+    d2 = _sq_dists(b, b[chosen[:, 0]])
     for j in range(1, k):
         totals = d2.sum(axis=1)
         for t, rng in enumerate(rngs):
@@ -223,7 +218,7 @@ def _kmeanspp(b: np.ndarray, k: int, seeds, scratch: np.ndarray) -> np.ndarray:
             else:
                 remaining = np.setdiff1d(np.arange(m), chosen[t, :j])
                 chosen[t, j] = rng.choice(remaining)
-        np.minimum(d2, _sq_dists(b, b[chosen[:, j]], scratch), out=d2)
+        np.minimum(d2, _sq_dists(b, b[chosen[:, j]]), out=d2)
     return chosen
 
 
@@ -240,30 +235,7 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
     """
     a = _checked(a, k)
     _valid_seed(seed)
-    b = _rescaled(a)[0]
-    return a[_kmeanspp(b, k, (seed,), np.empty((1, *b.shape)))[0]]
-
-
-class _Points(NamedTuple):
-    # prepared points b with what every Lloyd step reuses: squared row
-    # norms, 2 b for the cross term, and the C-ordered (s, m, n) scratch
-    # that _kmeanspp and _cost share, for a stack of up to s runs
-    b: np.ndarray
-    sq: np.ndarray
-    twice: np.ndarray
-    scratch: np.ndarray
-
-
-def _points(b: np.ndarray, runs: int) -> _Points:
-    return _Points(b, np.square(b).sum(axis=1), 2.0 * b, np.empty((runs, *b.shape)))
-
-
-def _assign(p: _Points, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (s, m) labels and (s, m, k) squared distances to each run's (k, n)
-    # centroids; argmin breaks ties toward the smallest index
-    cross = np.matmul(p.twice, centroids.transpose(0, 2, 1))
-    d2 = p.sq[:, None] - cross + np.square(centroids).sum(axis=2)[:, None, :]
-    return d2.argmin(axis=2), d2
+    return a[_kmeanspp(_rescaled(a)[0], k, (seed,))[0]]
 
 
 def _repair_empty(labels: np.ndarray, d2: np.ndarray, sizes: np.ndarray) -> None:
@@ -279,35 +251,44 @@ def _repair_empty(labels: np.ndarray, d2: np.ndarray, sizes: np.ndarray) -> None
         sizes[j] = 1
 
 
-def _lloyd(p: _Points, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _lloyd(b: np.ndarray, centroids: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     # (s, m) 0-based labels and (s,) costs of s Lloyd runs from the stacked
-    # (s, k, n) centroids on prepared points, by the kernels objective
+    # (s, k, n) centroids on prepared points b, by the kernels objective
     # uses.  The runs advance in lockstep; each takes the steps, the stop
     # and the cost it takes alone, and leaves the stack when it stops.  tol
-    # is at the scale of p.b
+    # is at the scale of b
     s, k = centroids.shape[:2]
-    labels_out, costs_out = np.empty((s, p.b.shape[0]), dtype=np.intp), np.empty(s)
+    sq, twice = np.square(b).sum(axis=1), 2.0 * b
+    labels_out, costs_out = np.empty((s, b.shape[0]), dtype=np.intp), np.empty(s)
     live = np.arange(s)
     # no labelling repeats these, and every first cost is below inf
     prev_labels, prev_obj = np.full(labels_out.shape, -1), np.full(s, np.inf)
     for step in range(_MAX_ITER):
-        labels, d2 = _assign(p, centroids)
-        sizes = _sizes(labels, k)
+        # squared distances to each run's centroids, labels (argmin breaks
+        # ties toward the smallest index) and (s, k) cluster sizes
+        cross = np.matmul(twice, centroids.transpose(0, 2, 1))
+        d2 = sq[:, None] - cross + np.square(centroids).sum(axis=2)[:, None, :]
+        labels = d2.argmin(axis=2)
+        sizes = np.bincount(_stack_rows(labels, k).ravel(), minlength=live.size * k).reshape(-1, k)
         for t in np.flatnonzero((sizes == 0).any(axis=1)):
             _repair_empty(labels[t], d2[t], sizes[t])
         # a repeated labelling has the centroids and cost of the step before
         same = (labels == prev_labels).all(axis=1)
         if same.any():
             labels_out[live[same]], costs_out[live[same]] = labels[same], prev_obj[same]
-            live, labels, sizes = live[~same], labels[~same], sizes[~same]
-            prev_obj = prev_obj[~same]
+            live, labels, sizes, prev_obj = live[~same], labels[~same], sizes[~same], prev_obj[~same]
             if not live.size:
                 break
-        centroids = _centroids(p.b, labels, sizes)
-        obj = _cost(p.b, centroids, labels, p.scratch[:live.size])
-        assert (obj <= prev_obj + 1e-9 * np.maximum(1.0, prev_obj)).all(), (
-            f"objective increased: {prev_obj} -> {obj}"
-        )
+        centroids = _centroids(b, labels, sizes)
+        obj = _cost(b, centroids, _stack_rows(labels, k))
+        # exact arithmetic never raises the cost; rounding can, on points
+        # whose offset dwarfs their spread
+        rose = ~(obj <= prev_obj + 1e-9 * np.maximum(1.0, prev_obj))
+        if rose.any():
+            t = int(rose.argmax())  # the first run of the stack whose cost rose
+            raise NumericalSearchError(
+                f"Lloyd step {step} raised the cost: {prev_obj[t]} -> {obj[t]}", step=step,
+                diagnostics={"restart": live[t], "previous_cost": prev_obj[t], "cost": obj[t]})
         stop = (prev_obj - obj < tol) | (step == _MAX_ITER - 1)
         if stop.any():
             labels_out[live[stop]], costs_out[live[stop]] = labels[stop], obj[stop]
@@ -336,14 +317,17 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     Restart ``t`` seeds k-means++ with ``seed + t`` (0 + t without a seed),
     then alternates assignment and centroid steps until the labels repeat,
     the objective decrease drops below 1e-10, or 300 iterations have run.
-    The objective is non-increasing across iterations; clusters emptied by
-    an assignment step are repaired by reseeding them with the point
-    farthest from its current centroid (taken from a cluster of size at
-    least two).  The points and the tolerance are rescaled once by the
-    package's one scaling rule, so squared distances of huge or tiny data
-    stay finite and non-zero; a tolerance whose rescaled value overflows
-    lets every decrease stop a run.  Restarts are ranked by their final
-    cost there, the value :func:`objective` gives.
+    The objective is non-increasing across iterations in exact arithmetic;
+    a step that raises it, which only rounding can do (on points whose
+    offset dwarfs their spread), raises :class:`NumericalSearchError` with
+    the restart's seed.  Clusters emptied by an assignment step are
+    repaired by reseeding them with the point farthest from its current
+    centroid (taken from a cluster of size at least two).  The points and
+    the tolerance are rescaled once by the package's one scaling rule, so
+    squared distances of huge or tiny data stay finite and non-zero; a
+    tolerance whose rescaled value overflows lets every decrease stop a
+    run.  Restarts are ranked by their final cost there, the value
+    :func:`objective` gives.
 
     The restarts run in lockstep, in chunks: a chunk's seedings and Lloyd
     steps work on one stack of its restarts, and each restart leaves the
@@ -359,11 +343,14 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
         tol = float(np.ldexp(_TOL, -2 * e))
     m, n = b.shape
     per = min(restarts, max(1, max(m * n, _STACK_FLOATS) // (m * max(n, k))))
-    p = _points(b, per)
     best, best_cost = None, np.inf
     for start in range(0, restarts, per):
         seeds = range(base + start, base + min(start + per, restarts))
-        labels, costs = _lloyd(p, b[_kmeanspp(b, k, seeds, p.scratch)], tol)
+        try:
+            labels, costs = _lloyd(b, b[_kmeanspp(b, k, seeds)], tol)
+        except NumericalSearchError as exc:  # name the restart by its seed
+            exc.diagnostics["seed"] = seeds[exc.diagnostics.pop("restart")]
+            raise
         t = int(costs.argmin())  # the first of equal costs wins, here and across chunks
         if costs[t] < best_cost:
             best, best_cost = labels[t], costs[t]

@@ -1,13 +1,17 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kmselect
 from kmselect import pipelines, verify
 from kmselect.cli import build_parser, main, read_labels, read_matrix_csv, write_matrix_csv
 from kmselect.kmeans import brute_force_optimal, from_labels, objective
@@ -327,6 +331,37 @@ def test_cluster_cost_beyond_float64_range_is_a_validation_error(tmp_path, capsy
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "float64 range" in captured.err
+
+
+def _offset_points_csv(tmp_path):
+    # points whose offset dwarfs their spread, on which a Lloyd step raises
+    # the cost
+    path = tmp_path / "offset.csv"
+    write_matrix_csv(path, np.random.default_rng(0).standard_normal((30, 3)) * 0.01 + 1e6)
+    return path
+
+
+def test_cluster_lloyd_cost_increase_is_a_numerical_error(tmp_path, capsys):
+    path = _offset_points_csv(tmp_path)
+    assert run_cli("cluster", "--input", path, "--backend", "lloyd", "--k", 4, "--seed", 0) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: Lloyd step \d+ raised the cost: \S+ -> \S+\n", captured.err)
+
+
+def test_cluster_lloyd_cost_increase_survives_optimised_python(tmp_path):
+    # under python -O the check is no assert, so it still stops the run
+    path = _offset_points_csv(tmp_path)
+    paths = [str(Path(kmselect.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "kmselect.cli", "cluster", "--input", str(path),
+         "--backend", "lloyd", "--k", "4", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert re.fullmatch(r"error: Lloyd step \d+ raised the cost: \S+ -> \S+\n", done.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmselect import kmeans
-from kmselect.errors import ArgumentError, ContractViolationError, ResourceLimitError
+from kmselect.errors import (
+    ArgumentError,
+    ContractViolationError,
+    NumericalSearchError,
+    ResourceLimitError,
+)
 from kmselect.kmeans import (
     _ONE_BATCH,
     _PARTITION_BATCH,
@@ -18,7 +23,6 @@ from kmselect.kmeans import (
     _centred_gram,
     _lloyd,
     _partition_batches,
-    _points,
     _rescaled,
     _sq_dists,
     _weighted_draw,
@@ -250,7 +254,7 @@ def _lloyd_from(a, init):
     # and centroids rescaled alike; it stops only when the labels repeat
     b, e = _rescaled(np.asarray(a, dtype=float))
     init = np.ldexp(np.asarray(init, dtype=float), -e)
-    labels, _ = _lloyd(_points(b, 1), init[None], 0.0)
+    labels, _ = _lloyd(b, init[None], 0.0)
     return Clustering(b.shape[0], init.shape[0], tuple(int(x) + 1 for x in labels[0]))
 
 
@@ -447,8 +451,8 @@ def test_lloyd_best_restarts_are_the_per_restart_runs_bit_for_bit(monkeypatch):
     chunks = []
     real = kmeans._lloyd
 
-    def recorded(p, centroids, tol):
-        labels, costs = real(p, centroids, tol)
+    def recorded(b, centroids, tol):
+        labels, costs = real(b, centroids, tol)
         chunks.append((labels.copy(), costs.copy()))
         return labels, costs
 
@@ -488,7 +492,7 @@ def test_stacked_squared_distances_add_in_the_order_of_the_points_layout():
     picks = np.array([3, 17, 17, 150])
     for b in layouts:
         expected = [np.square(b - b[i]).sum(axis=1) for i in picks]
-        stacked = _sq_dists(b, b[picks], np.empty((5, *b.shape)))
+        stacked = _sq_dists(b, b[picks])
         assert np.array_equal(stacked, expected), b.strides
 
 
@@ -517,6 +521,34 @@ def test_lloyd_argument_errors(rng):
         lloyd_best(a, 4)
     with pytest.raises(ArgumentError):
         lloyd_best(a, 2, restarts=0)
+
+
+# points whose offset dwarfs their spread: the expanded squared distances
+# cancel, and a Lloyd step can raise the cost
+OFFSET_POINTS = np.random.default_rng(0).standard_normal((30, 3)) * 0.01 + 1e6
+
+
+def test_lloyd_cost_increase_is_a_numerical_search_error():
+    with pytest.raises(NumericalSearchError, match="Lloyd step 2 raised the cost") as err:
+        lloyd(OFFSET_POINTS, 4, 0)
+    assert err.value.step == 2
+    d = err.value.diagnostics
+    assert sorted(d) == ["cost", "previous_cost", "seed"] and d["seed"] == 0
+    assert d["cost"] > d["previous_cost"] > 0.0
+    # lloyd_best names the restart that failed by its seed, with the step
+    # and costs that restart's own run fails with
+    later = 0
+    for seed in range(5):
+        with pytest.raises(NumericalSearchError) as best:
+            lloyd_best(OFFSET_POINTS, 4, 7, seed)
+        failed = best.value.diagnostics["seed"]
+        assert seed <= failed < seed + 7
+        later += failed > seed
+        with pytest.raises(NumericalSearchError) as alone:
+            lloyd(OFFSET_POINTS, 4, failed)
+        assert alone.value.step == best.value.step
+        assert alone.value.diagnostics == best.value.diagnostics
+    assert later >= 1  # a restart after the first in its stack failed first
 
 
 # ---------------------------------------------------------------------------

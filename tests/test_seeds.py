@@ -13,7 +13,7 @@ import pytest
 
 from kmselect import kmeans, linalg, pipelines, sparsify, verify
 from kmselect.errors import ArgumentError
-from kmselect.kmeans import from_labels
+from kmselect.kmeans import Clustering, from_labels
 
 M, N, K, R = 8, 10, 2, 4
 A = np.random.default_rng(7).standard_normal((M, N))
@@ -166,3 +166,27 @@ def test_from_labels_takes_python_and_numpy_integers(labels, count):
     c = from_labels(labels, count)
     assert (c.num_clusters, c.assignment) == (2, (1, 2, 1))
     assert all(type(x) is int for x in (c.num_clusters, *c.assignment))
+
+
+# each entry: the arguments of a Clustering built directly, one of them
+# not an integer
+NON_INTEGER_CLUSTERINGS = {
+    "float label": (3, 2, (1.5, 2, 1)),
+    "bool label": (3, 2, (True, 2, 1)),
+    "string label": (3, 2, ("1", 2, 1)),
+    "float point count": (3.0, 2, (1, 2, 1)),
+    "float cluster count": (3, 2.0, (1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CLUSTERINGS))
+def test_clustering_refuses_a_non_integer_count_or_label(name):
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        Clustering(*NON_INTEGER_CLUSTERINGS[name]).to_dict(0.0)
+
+
+def test_clustering_keeps_python_integers():
+    c = Clustering(np.int64(3), np.int32(2), np.array([1, 2, 1]))
+    assert c == Clustering(3, 2, (1, 2, 1))
+    assert all(type(x) is int for x in (c.num_points, c.num_clusters, *c.assignment))
+    assert c.to_dict(0.0) == {"k": 2, "assignment": [1, 2, 1], "objective": 0.0}
