@@ -134,22 +134,24 @@ def _stack_rows(labels: np.ndarray, k: int) -> np.ndarray:
 
 def _centroids(b: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     # (s, k, n) cluster means of each of the s labellings in *labels*
-    # (s, m), whose (s, k) cluster sizes are all positive.  matmul on the
-    # stack runs one GEMM per labelling, which rounds as the 2-d product
-    # of one labelling does; one (s k) x m product would round otherwise
-    onehot = (labels[:, :, None] == np.arange(sizes.shape[1])).astype(float)
-    return np.matmul(onehot.transpose(0, 2, 1), b) / sizes[:, :, None]
+    # (s, m), whose (s, k) cluster sizes are all positive; (k, n) for one
+    # labelling (m,) with sizes (k,).  matmul on the stack runs one GEMM
+    # per labelling, which rounds as the 2-d product of one labelling does;
+    # one (s k) x m product would round otherwise
+    onehot = (labels[..., None] == np.arange(sizes.shape[-1])).astype(float)
+    return np.matmul(onehot.swapaxes(-1, -2), b) / sizes[..., None]
 
 
 def _cost(b: np.ndarray, centroids: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # (s,) costs sum_i ||b_i - c[rows[t, i]]||^2, c the (s k) x n rows of
-    # the stacked (s, k, n) centroids: gather, difference and squares all go
-    # into one C-ordered (s, m, n) array, so each cost adds its terms in the
-    # row-major order of one m x n array, whatever the layout of b
-    s, k = centroids.shape[:2]
-    out = np.take(centroids.reshape(s * k, -1), rows, axis=0)
+    # the stacked (s, k, n) centroids; for one labelling, rows (m,) of the
+    # (k, n) centroids, the one cost.  Gather, difference and squares all
+    # go into one C-ordered (s, m, n) or (m, n) array, whatever the layout
+    # of b, and numpy sums each m x n block as one contiguous run, in
+    # row-major order
+    out = np.take(centroids.reshape(-1, b.shape[1]), rows, axis=0)
     np.subtract(b, out, out=out)
-    return np.square(out, out=out).reshape(s, -1).sum(axis=1)
+    return np.square(out, out=out).sum(axis=(-2, -1))
 
 
 def objective(a, c: Clustering) -> float:
@@ -166,11 +168,11 @@ def objective(a, c: Clustering) -> float:
         raise ArgumentError(
             f"matrix has {a.shape[0]} rows but the clustering covers {c.num_points} points"
         )
-    labels = c.labels0()[None]
+    labels = c.labels0()
     b, e = _rescaled(a)
-    # a stack of one labelling: its labels are its rows of the centroids
-    centroids = _centroids(b, labels, np.bincount(labels[0], minlength=c.num_clusters)[None])
-    return _at_scale(float(_cost(b, centroids, labels)[0]), 2 * e, "clustering cost")
+    # one labelling: its labels are its rows of the centroids
+    centroids = _centroids(b, labels, np.bincount(labels, minlength=c.num_clusters))
+    return _at_scale(float(_cost(b, centroids, labels)), 2 * e, "clustering cost")
 
 
 def _checked(a, k: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from .sparsify import (
     SamplingPlan,
     _columns,
     _identity,
+    _merged,
     _plan,
     apply_plan,
     deterministic_sampling_one,
@@ -55,9 +56,11 @@ STAGE1_RETRIES = 3
 class FeatureSelection:
     """Result of one pipeline run.
 
-    ``reduced`` is exactly ``apply_plan(a, plan)``; ``seed`` is None for the
-    deterministic methods and ``stage1_size`` is the width of the first
-    sampling stage (randomized method only).  ``basis`` is the orthonormal
+    ``reduced`` is exactly ``apply_plan(a, plan)``, repeated picks
+    included, also where :func:`select_then_cluster` runs Lloyd on the
+    distinct columns alone; ``seed`` is None for the deterministic methods
+    and ``stage1_size`` is the width of the first sampling stage
+    (randomized method only).  ``basis`` is the orthonormal
     n x k matrix the selection was built around (exact or sketched right
     singular subspace), kept so the structural inequality behind the
     guarantee can be re-checked on the output; it is not serialized.
@@ -273,6 +276,14 @@ def select_then_cluster(
     search, gamma = 1) — the matching guarantee check.  The heuristic
     Lloyd backend certifies no factor, so no bound verdict is emitted for
     it.  Every argument is checked before any selection work.
+
+    The Lloyd backend clusters the selection's distinct columns: the picks
+    of each source column become one column, weighted by the root-sum-square
+    of their weights.  That matrix gives every pair of rows the squared
+    distance the reduced matrix gives them, up to rounding, so a clustering
+    costs the same on both.  The exhaustive backend clusters ``reduced``
+    itself.  The selection's ``reduced`` and the report's
+    ``objective_reduced`` are unchanged: the cost is taken on ``reduced``.
     """
     a = _as_2d(a)
     m, n = a.shape
@@ -290,7 +301,10 @@ def select_then_cluster(
         _require_covers(given, m)
     k, r = _valid_int(k, "k"), _valid_int(r, "r")
     fs = _select(a, k, r, method, seed, given)
-    out, gamma = _cluster(fs.reduced, k, backend, restarts, seed)
+    # Lloyd runs on the distinct picks; the exhaustive search scores through
+    # the m x m Gram matrix, which the merge would not shrink
+    points = fs.reduced if backend == "brute" else _merged(a, fs.plan)
+    out, gamma = _cluster(points, k, backend, restarts, seed)
     obj_reduced = objective(fs.reduced, out)
     obj_original = objective(a, out)
     report = {

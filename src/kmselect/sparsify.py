@@ -26,7 +26,9 @@ realizes ``a @ omega @ s``.
 A plan keeps 1-based indices and weights in tuples; the kernels work on
 0-based index arrays.  ``_plan`` is the one conversion into a plan, from
 0-based picks and their weights, and ``_columns`` the one conversion back,
-to a 0-based index array and a weight array.
+to a 0-based index array and a weight array.  ``_merged`` applies a plan
+with its repeated picks merged into one column each, the matrix the
+Lloyd backend clusters.
 """
 
 from __future__ import annotations
@@ -109,6 +111,31 @@ def _columns(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(plan.indices, dtype=int) - 1, np.asarray(plan.weights, dtype=float)
 
 
+def _gather(a: np.ndarray, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # the columns idx of a times weights; a product beyond the float64 range
+    # raises ContractViolationError
+    try:
+        with np.errstate(over="raise"):
+            return a[:, idx] * weights
+    except FloatingPointError:
+        raise ContractViolationError("the sampled matrix exceeds the float64 range") from None
+
+
+def _merged(a: np.ndarray, plan: SamplingPlan) -> np.ndarray:
+    # apply_plan(a, plan) with the picks of each source column merged into
+    # one column, weighted by the root-sum-square of their weights: every
+    # pairwise squared distance of the rows stays what it was, up to
+    # rounding.  The columns keep their first-occurrence order, and hypot
+    # neither squares a weight nor alters a lone one, so a plan without
+    # repeats gives apply_plan's matrix bit for bit
+    idx, weights = _columns(plan)
+    groups: dict[int, list[float]] = {}
+    for i, w in zip(idx.tolist(), weights.tolist()):
+        groups.setdefault(i, []).append(w)
+    return _gather(a, np.fromiter(groups, dtype=int, count=len(groups)),
+                   np.array([math.hypot(*ws) for ws in groups.values()]))
+
+
 def identity_plan(n: int) -> SamplingPlan:
     """The plan that keeps all *n* columns with unit weights.
 
@@ -129,12 +156,7 @@ def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
         raise ArgumentError(
             f"plan covers {plan.source_dim} columns but the matrix has {a.shape[1]}"
         )
-    idx, weights = _columns(plan)
-    try:
-        with np.errstate(over="raise"):
-            return a[:, idx] * weights
-    except FloatingPointError:
-        raise ContractViolationError("the sampled matrix exceeds the float64 range") from None
+    return _gather(a, *_columns(plan))
 
 
 def leverage_scores(v_rows) -> np.ndarray:

@@ -124,6 +124,20 @@ def test_objective_matrix_form_agrees(rng):
         assert objective(a, c) == pytest.approx(matrix_form, rel=1e-9, abs=1e-12)
 
 
+def test_cost_kernels_take_one_labelling_with_the_bits_of_a_stack_of_one(rng):
+    # objective hands the kernels one labelling, no stack around it
+    for (m, n), k in (((12, 60), 3), ((2000, 50), 10), ((7, 1), 2), ((5, 3), 5)):
+        for b in (rng.standard_normal((m, n)), np.asfortranarray(rng.standard_normal((m, n)))):
+            labels = random_clustering(rng, m, k).labels0()
+            sizes = np.bincount(labels, minlength=k)
+            one = kmeans._centroids(b, labels, sizes)
+            stack = kmeans._centroids(b, labels[None], sizes[None])
+            assert one.shape == (k, n) and np.array_equal(one, stack[0])
+            cost = kmeans._cost(b, one, labels)
+            assert cost.shape == () and cost == kmeans._cost(b, stack, labels[None])[0]
+            assert cost == np.square(np.ascontiguousarray(b) - one[labels]).sum()
+
+
 def test_objective_dimension_mismatch(rng):
     with pytest.raises(ArgumentError):
         objective(rng.standard_normal((5, 2)), Clustering(4, 2, (1, 1, 2, 2)))

@@ -346,6 +346,35 @@ def test_report_lloyd_backend_certifies_nothing(rng):
     assert report["objective_reduced"] > 0.0
 
 
+@pytest.mark.parametrize("method", ["supervised", "unsupervised", "randomized"])
+def test_lloyd_report_clusters_the_distinct_picks_as_lloyd_clusters_reduced(method, monkeypatch):
+    # planted blobs on the first k axes: every sampler repeats picks, and
+    # 300 columns keep the randomized first stage (197 columns) sampled
+    rng = np.random.default_rng(5)
+    m, n, k, r = 120, 300, 3, 12
+    centres = np.zeros((k, n))
+    centres[np.arange(k), np.arange(k)] = 8.0
+    a = centres[np.arange(m) % k] + rng.standard_normal((m, n))
+    given = Clustering(m, k, tuple(np.arange(m) % k + 1)) if method == "supervised" else None
+    widths = []
+
+    def spy(points, *args, **kwargs):
+        widths.append(points.shape[1])
+        return lloyd_best(points, *args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "lloyd_best", spy)
+    for seed in (0, 1, 2, 3):
+        report = select_then_cluster(a, k, r, method, "lloyd", seed=seed, restarts=5, given=given)
+        fs = pipelines._select(a, k, r, method, seed, given)
+        assert report["selection"] == fs.to_dict()
+        assert widths[-1] == len(set(fs.plan.indices)) < r
+        expected = lloyd_best(fs.reduced, k, restarts=5, seed=seed)
+        assert report["clustering"]["assignment"] == list(expected.assignment)
+        assert report["objective_reduced"] == objective(fs.reduced, expected)
+        assert report["clustering"]["objective"] == report["objective_reduced"]
+    assert len(widths) == 4
+
+
 @pytest.mark.parametrize("backend", ["lloyd", "brute"])
 @pytest.mark.parametrize("method", ["supervised", "unsupervised", "randomized"])
 def test_report_takes_numpy_integers_and_echoes_python_ints(rng, method, backend):

@@ -154,6 +154,57 @@ def test_apply_plan_dimension_mismatch(rng):
         apply_plan(rng.standard_normal((3, 4)), identity_plan(5))
 
 
+def _pairwise_sq_dists(x):
+    return np.square(x[:, None, :] - x[None, :, :]).sum(axis=2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_merged_columns_keep_every_pairwise_squared_distance(rng, scale):
+    # the merged weights are root-sum-squares, so each distance is the sum
+    # of the same positive terms, grouped and rounded otherwise: 1e-12
+    # relative covers that rounding many times over
+    for _ in range(20):
+        a = rng.standard_normal((9, 12)) * scale
+        r = int(rng.integers(2, 30))
+        plan = SamplingPlan(12, r, tuple(int(i) for i in rng.integers(1, 6, size=r)),
+                            tuple(float(w) for w in rng.uniform(0.1, 3.0, size=r)))
+        merged = sparsify._merged(a, plan)
+        assert merged.shape == (9, len(set(plan.indices)))
+        np.testing.assert_allclose(_pairwise_sq_dists(merged / scale),
+                                   _pairwise_sq_dists(apply_plan(a, plan) / scale), rtol=1e-12)
+
+
+def test_merged_columns_of_a_plan_without_repeats_are_apply_plans_bit_for_bit(rng):
+    for scale in (1.0, 1e200, 1e-200):
+        a = rng.standard_normal((7, 10)) * scale
+        picks = rng.permutation(10)[:6] + 1
+        w = rng.uniform(1e-3, 1e3, size=6)
+        plan = SamplingPlan(10, 6, tuple(int(i) for i in picks), tuple(float(x) for x in w))
+        got = sparsify._merged(a, plan)
+        np.testing.assert_array_equal(got, apply_plan(a, plan))
+        assert got.dtype == np.float64 and got.shape == (7, 6)
+
+
+def test_merged_columns_come_in_first_occurrence_order():
+    a = np.arange(1.0, 13.0).reshape(3, 4)
+    plan = SamplingPlan(4, 6, (3, 1, 3, 4, 1, 3), (2.0, 1.0, 1.0, 0.5, 1.0, 2.0))
+    np.testing.assert_array_equal(
+        sparsify._merged(a, plan), a[:, [2, 0, 3]] * np.array([3.0, math.sqrt(2.0), 0.5]))
+
+
+def test_merged_weights_do_not_overflow_but_a_merged_column_beyond_float64_raises():
+    a = np.array([[1.0, 2.0], [3.0, -4.0]])
+    plan = SamplingPlan(2, 3, (2, 2, 1), (1e200, 1e200, 1e200))
+    np.testing.assert_array_equal(sparsify._merged(a, plan),
+                                  a[:, [1, 0]] * np.array([math.hypot(1e200, 1e200), 1e200]))
+    # each pick of column 1 alone stays finite, their merge does not
+    a = np.array([[1.5e108, 1.0], [-1.0, 1.0]])
+    plan = SamplingPlan(2, 3, (1, 1, 2), (1e200, 1e200, 1.0))
+    assert np.isfinite(apply_plan(a, plan)).all()
+    with pytest.raises(ContractViolationError, match="exceeds the float64 range"):
+        sparsify._merged(a, plan)
+
+
 # ---------------------------------------------------------------------------
 # barrier gains and barrier checks
 # ---------------------------------------------------------------------------
