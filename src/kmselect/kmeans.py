@@ -18,22 +18,28 @@ Every public function checks its arguments, then rescales its points
 once by the package's one rule (``linalg._rescaled``), which is also the
 check that they are finite.  So squared distances of huge or tiny data
 neither overflow nor underflow, and the scaling alone changes no
-comparison and no value.  k-means++ and Lloyd are private
-kernels on the prepared points, and :func:`lloyd_best` ranks restarts by
-the cost its Lloyd kernel computed.  The kernels run a chunk of restarts
+comparison and no value.  :func:`lloyd_best` and the exhaustive search
+also subtract the column means of the rescaled points: no k-means cost
+changes under a translation, and an offset that dwarfs the spread would
+otherwise cancel in Lloyd's expanded squared distances.  k-means++ and
+Lloyd are private kernels on the prepared points, and
+:func:`lloyd_best` ranks restarts by the cost its Lloyd kernel
+computed.  The kernels run a chunk of restarts
 in lockstep, as one ``(restarts, m, k)`` stack: each restart keeps its
 own random stream, its own stop and every bit of its result, and leaves
 the stack when it stops, and the chunk size keeps each stacked temporary
-within ``max(m n, _STACK_FLOATS)`` floats.  The exhaustive search also
-subtracts the column means and scores every labelling through the
-``m x m`` Gram matrix ``g`` of the centred points, as
-``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow with the
-number of columns, and an offset in the data changes the scores only by
-the rounding of the column means.  The labellings are decoded from their
-ranks in lexicographic order, one batch of ``_PARTITION_BATCH`` at a
-time: an enumeration of at most one batch is built once per process and
-reused read-only, and larger ones stream, so memory stays bounded by the
-batch.
+within ``max(m n, _STACK_FLOATS)`` floats.  The exhaustive search scores
+every labelling through the ``m x m`` Gram matrix ``g`` of the centred
+points, as ``trace(g) - sum_c 1_c.T g 1_c / |c|``: scoring does not grow
+with the number of columns, and an offset in the data changes the scores
+only by the rounding of the column means.  The labellings are decoded
+from their ranks in lexicographic order, one batch of ``_PARTITION_BATCH``
+at a time, and a batch of p labellings is scored with one 2-d
+``(p k) x m`` by ``m x m`` product, a row-wise dot with the ``(p k, m)``
+one-hot of their clusters and a product with their reciprocal cluster
+sizes.  An enumeration of at most one batch is built once per process,
+with its one-hot and reciprocal sizes, and reused read-only; larger ones
+stream, so memory stays bounded by the batch.
 """
 
 from __future__ import annotations
@@ -53,10 +59,12 @@ _TOL = 1e-10
 _STACK_FLOATS = 2**16
 BRUTE_FORCE_MAX_POINTS = 12
 _PARTITION_BATCH = 4096
-# (m, k) -> the labels of an enumeration that fits one batch, built by
-# its first search: at most 58 shapes, 0.18 MB in all.  An entry depends
-# on its (m, k) alone and is read-only, so every caller may share it
-_ONE_BATCH: dict[tuple[int, int], np.ndarray] = {}
+# (m, k) -> what scoring an enumeration that fits one batch reads: its
+# (p, m) int8 labels, their (p k, m) bool one-hot and (p, k) reciprocal
+# cluster sizes, built by its first search: at most 58 shapes, 1.83 MB in
+# all.  An entry depends on its (m, k) alone and is read-only, so every
+# caller may share it
+_ONE_BATCH: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,15 @@ def objective(a, c: Clustering) -> float:
     # one labelling: its labels are its rows of the centroids
     centroids = _centroids(b, labels, np.bincount(labels, minlength=c.num_clusters))
     return _at_scale(float(_cost(b, centroids, labels)), 2 * e, "clustering cost")
+
+
+def _centred(a: np.ndarray) -> tuple[np.ndarray, int]:
+    # the rescaled points minus their column means, in their layout, and
+    # the scale exponent.  No k-means cost changes under a translation, and
+    # centred points keep an offset that dwarfs their spread from
+    # cancelling in |b|^2 - 2 b.c + |c|^2
+    b, e = _rescaled(a)
+    return b - b.mean(axis=0), e
 
 
 def _checked(a, k: int) -> np.ndarray:
@@ -328,7 +345,10 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     the tolerance are rescaled once by the package's one scaling rule, so
     squared distances of huge or tiny data stay finite and non-zero; a
     tolerance whose rescaled value overflows lets every decrease stop a
-    run.  Restarts are ranked by their final cost there, the value
+    run.  The rescaled points are then centred on their column means, so
+    an offset that dwarfs their spread clusters as the points without it
+    do; clusters far apart whose spread is tiny can still raise the
+    error.  Restarts are ranked by their final cost there, the value
     :func:`objective` gives.
 
     The restarts run in lockstep, in chunks: a chunk's seedings and Lloyd
@@ -340,7 +360,7 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     a = _checked(a, k)
     restarts = _require_restarts(restarts)
     base = _valid_seed(0 if seed is None else seed)
-    b, e = _rescaled(a)
+    b, e = _centred(a)
     with np.errstate(over="ignore"):  # saturates at inf, below which every decrease falls
         tol = float(np.ldexp(_TOL, -2 * e))
     m, n = b.shape
@@ -391,26 +411,63 @@ def _partition_batches(m: int, k: int):
 
 
 def _centred_gram(a: np.ndarray) -> np.ndarray:
-    # m x m Gram matrix of the rescaled points minus their column means
-    c = _rescaled(a)[0]
-    c = c - c.mean(axis=0)
+    # m x m Gram matrix of the centred points
+    c = _centred(a)[0]
     return c @ c.T
 
 
-def _batch_objectives(g: np.ndarray, label_batch: np.ndarray, k: int,
-                      scratch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    # cost of each labelling: trace(g) minus the between-cluster energy
-    # sum_c 1_c.T g 1_c / |c|, from one batched (p, k, m) @ (m, m) matmul.
-    # *scratch*, two (at least p, k, m) float arrays, is reused across the
-    # batches of one search: megabyte temporaries allocated afresh for every
-    # batch are faulted in afresh too, which made a streamed 12-point search
-    # about 60% slower
-    p = label_batch.shape[0]
-    onehot, prod = scratch[0][:p], scratch[1][:p]
-    np.equal(label_batch[:, None, :], np.arange(k)[:, None], out=onehot)
+def _one_hot(labels: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    # the (p k, m) one-hot of p labellings (p, m): row t k + c marks the
+    # points of cluster c of labelling t.  bool, or the dtype of *out*, a
+    # (p, k, m) array
+    p, m = labels.shape
+    return np.equal(labels[:, None, :], np.arange(k)[:, None], out=out).reshape(p * k, m)
+
+
+def _batch_objectives(g: np.ndarray, onehot: np.ndarray, inv_sizes: np.ndarray,
+                      prod: np.ndarray) -> np.ndarray:
+    # cost of each of p labellings: trace(g) minus the between-cluster
+    # energy sum_c 1_c.T g 1_c / |c|, from the float (p k, m) one-hot of
+    # their clusters and their (p, k) reciprocal cluster sizes.  One 2-d
+    # (p k) x m by m x m product into *prod*, (p k, m) floats, then a
+    # row-wise dot with the one-hot: a stacked (p, k, m) @ (m, m) matmul
+    # would run p tiny GEMMs
     np.matmul(onehot, g, out=prod)
-    between = np.multiply(prod, onehot, out=prod).sum(axis=2) / onehot.sum(axis=2)
-    return np.trace(g) - between.sum(axis=1)
+    between = np.einsum("ij,ij->i", prod, onehot).reshape(inv_sizes.shape)
+    return np.trace(g) - np.multiply(between, inv_sizes, out=between).sum(axis=1)
+
+
+def _scored_batches(m: int, k: int):
+    # (labels, float one-hot, reciprocal sizes, product buffer) of each
+    # batch of the enumeration, for _batch_objectives.  A cached shape
+    # copies its bool one-hot into one array that also holds the product:
+    # two fresh arrays made a cached 9-point search about 2.5x slower.  A
+    # streamed search reuses one one-hot and one product buffer across its
+    # batches: megabyte temporaries allocated afresh for every batch are
+    # faulted in afresh too, which made a streamed 12-point search about
+    # 60% slower, and one array for both raised the peak resident memory
+    # of a certify-small pass by up to 0.8 MB.  An enumeration that came in
+    # one batch is cached once it is scored
+    entry = _ONE_BATCH.get((m, k))
+    if entry is not None:
+        labels, onehot, inv_sizes = entry
+        buffers = np.empty((2,) + onehot.shape)
+        np.copyto(buffers[0], onehot)
+        yield labels, buffers[0], inv_sizes, buffers[1]
+        return
+    buffers = None
+    for count, labels in enumerate(_partition_batches(m, k), 1):
+        p = labels.shape[0]
+        if buffers is None:  # sized by the first batch, the largest
+            buffers = np.empty((p, k, m)), np.empty((p * k, m))
+        onehot = _one_hot(labels, k, out=buffers[0][:p])
+        sizes = onehot.sum(axis=1).reshape(p, k)
+        yield labels, onehot, np.reciprocal(sizes, out=sizes), buffers[1][:p * k]
+    if count == 1:
+        entry = labels, _one_hot(labels, k), sizes
+        for array in entry:
+            array.flags.writeable = False
+        _ONE_BATCH[m, k] = entry
 
 
 def _require_enumerable(m: int) -> None:
@@ -427,29 +484,26 @@ def brute_force_optimal(a, k: int) -> Clustering:
     Stirling number.  The points are rescaled by an exact power of two and
     centred, and every labelling is scored through the ``m x m`` Gram
     matrix of the result, so time and memory do not grow with the number
-    of columns.  Scaling the data by a power of two leaves every score
-    exactly as it was; translating it changes them only by the rounding of
-    the column means.  Ties keep the first partition in enumeration order.
-    An enumeration of at most ``_PARTITION_BATCH`` labellings is kept,
-    read-only, for later searches on the same ``(m, k)``.
+    of columns.  Each batch of labellings is scored with one 2-d product
+    of its one-hot cluster matrix and the Gram matrix, a row-wise dot with
+    the one-hot and a product with the reciprocal cluster sizes.  Scaling
+    the data by a power of two leaves every score exactly as it was;
+    translating it changes them only by the rounding of the column means.
+    Ties keep the first partition in enumeration order.  An enumeration
+    of at most ``_PARTITION_BATCH`` labellings is kept, read-only, with
+    its one-hot matrix and reciprocal sizes, for later searches on the
+    same ``(m, k)``.
     """
     a = _checked(a, k)
     m = a.shape[0]
     _require_enumerable(m)
     g = _centred_gram(a)
-    cached = _ONE_BATCH.get((m, k))
-    scratch = None
     best_labels = None
     best_obj = np.inf
-    for count, batch in enumerate(_partition_batches(m, k) if cached is None else (cached,), 1):
-        if scratch is None:  # sized by the first batch, the largest
-            scratch = np.empty((batch.shape[0], k, m)), np.empty((batch.shape[0], k, m))
-        objs = _batch_objectives(g, batch, k, scratch)
+    for labels, onehot, inv_sizes, prod in _scored_batches(m, k):
+        objs = _batch_objectives(g, onehot, inv_sizes, prod)
         j = int(objs.argmin())
         if objs[j] < best_obj:
             best_obj = float(objs[j])
-            best_labels = batch[j]
-    if count == 1 and cached is None:
-        batch.flags.writeable = False
-        _ONE_BATCH[m, k] = batch
+            best_labels = labels[j]
     return from_labels(best_labels + 1, k)

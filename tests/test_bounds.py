@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -112,6 +113,16 @@ def test_bound_report_json():
         "holds": True,
         "context": {"m": 4},
     }
+
+
+def test_bound_report_dict_is_asdict_with_its_own_context():
+    rep = bound_report("demo", 1.0, 2.0, 3.0, {"m": 4, "gamma": 1.0, "seed": None})
+    data = rep.to_dict()
+    assert data == dataclasses.asdict(rep)
+    assert list(data) == [field.name for field in dataclasses.fields(rep)]
+    data["context"]["m"] = 5
+    data["context"]["extra"] = True
+    assert rep.context == {"m": 4, "gamma": 1.0, "seed": None}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import kmselect
 from kmselect import pipelines, verify
 from kmselect.cli import build_parser, main, read_labels, read_matrix_csv, write_matrix_csv
-from kmselect.kmeans import brute_force_optimal, from_labels, objective
+from kmselect.kmeans import brute_force_optimal, from_labels, lloyd_best, objective
 
 
 def run_cli(*args):
@@ -333,16 +333,29 @@ def test_cluster_cost_beyond_float64_range_is_a_validation_error(tmp_path, capsy
         assert "float64 range" in captured.err
 
 
-def _offset_points_csv(tmp_path):
-    # points whose offset dwarfs their spread, on which a Lloyd step raises
-    # the cost
+def test_cluster_lloyd_clusters_points_whose_offset_dwarfs_their_spread(tmp_path, capsys):
+    # a Lloyd step raised the cost on these points before lloyd_best centred
+    # them; now they cluster as the points without the offset do
+    points = np.random.default_rng(0).standard_normal((30, 3)) * 0.01
     path = tmp_path / "offset.csv"
-    write_matrix_csv(path, np.random.default_rng(0).standard_normal((30, 3)) * 0.01 + 1e6)
+    write_matrix_csv(path, points + 1e6)
+    assert run_cli("cluster", "--input", path, "--backend", "lloyd", "--k", 4, "--seed", 0) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert tuple(report["assignment"]) == lloyd_best(points, 4, 20, 0).assignment
+
+
+def _far_clusters_csv(tmp_path):
+    # two tight clusters far apart, on which a Lloyd step raises the cost
+    # even after centring
+    points = np.random.default_rng(0).standard_normal((30, 3)) * 0.01
+    points[15:] += 1e6
+    path = tmp_path / "far.csv"
+    write_matrix_csv(path, points)
     return path
 
 
 def test_cluster_lloyd_cost_increase_is_a_numerical_error(tmp_path, capsys):
-    path = _offset_points_csv(tmp_path)
+    path = _far_clusters_csv(tmp_path)
     assert run_cli("cluster", "--input", path, "--backend", "lloyd", "--k", 4, "--seed", 0) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -351,7 +364,7 @@ def test_cluster_lloyd_cost_increase_is_a_numerical_error(tmp_path, capsys):
 
 def test_cluster_lloyd_cost_increase_survives_optimised_python(tmp_path):
     # under python -O the check is no assert, so it still stops the run
-    path = _offset_points_csv(tmp_path)
+    path = _far_clusters_csv(tmp_path)
     paths = [str(Path(kmselect.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run(

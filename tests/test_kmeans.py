@@ -24,6 +24,7 @@ from kmselect.kmeans import (
     _lloyd,
     _partition_batches,
     _rescaled,
+    _scored_batches,
     _sq_dists,
     _weighted_draw,
     brute_force_optimal,
@@ -405,8 +406,10 @@ def _reference_lloyd(b, k, centroids, tol):
 
 
 def _reference_runs(a, k, restarts, seed):
-    # (restarts, m) labels and (restarts,) costs, one restart at a time
+    # (restarts, m) labels and (restarts,) costs, one restart at a time, on
+    # the rescaled points minus their column means
     b, e = _rescaled(a)
+    b = b - b.mean(axis=0)
     with np.errstate(over="ignore"):
         tol = float(np.ldexp(kmeans._TOL, -2 * e))
     runs = [_reference_lloyd(b, k, b[_reference_kmeanspp(b, k, seed + t)], tol)
@@ -537,14 +540,25 @@ def test_lloyd_argument_errors(rng):
         lloyd_best(a, 2, restarts=0)
 
 
-# points whose offset dwarfs their spread: the expanded squared distances
-# cancel, and a Lloyd step can raise the cost
-OFFSET_POINTS = np.random.default_rng(0).standard_normal((30, 3)) * 0.01 + 1e6
+def test_lloyd_clusters_points_whose_offset_dwarfs_their_spread():
+    # uncentred, the expanded squared distances of these points cancel and a
+    # Lloyd step raised the cost on every seed; centred, they cluster as
+    # the points without the offset do
+    for seed in range(100):
+        points = np.random.default_rng(seed).standard_normal((30, 3)) * 0.01
+        assert lloyd(points + 1e6, 4, seed).assignment == lloyd(points, 4, seed).assignment, seed
+
+
+# two tight clusters far apart: centring leaves each cluster its offset
+# from the common mean, so the expanded squared distances still cancel and
+# a Lloyd step can raise the cost
+FAR_CLUSTERS = np.random.default_rng(0).standard_normal((30, 3)) * 0.01
+FAR_CLUSTERS[15:] += 1e6
 
 
 def test_lloyd_cost_increase_is_a_numerical_search_error():
     with pytest.raises(NumericalSearchError, match="Lloyd step 2 raised the cost") as err:
-        lloyd(OFFSET_POINTS, 4, 0)
+        lloyd(FAR_CLUSTERS, 4, 0)
     assert err.value.step == 2
     d = err.value.diagnostics
     assert sorted(d) == ["cost", "previous_cost", "seed"] and d["seed"] == 0
@@ -554,12 +568,12 @@ def test_lloyd_cost_increase_is_a_numerical_search_error():
     later = 0
     for seed in range(5):
         with pytest.raises(NumericalSearchError) as best:
-            lloyd_best(OFFSET_POINTS, 4, 7, seed)
+            lloyd_best(FAR_CLUSTERS, 4, 7, seed)
         failed = best.value.diagnostics["seed"]
         assert seed <= failed < seed + 7
         later += failed > seed
         with pytest.raises(NumericalSearchError) as alone:
-            lloyd(OFFSET_POINTS, 4, failed)
+            lloyd(FAR_CLUSTERS, 4, failed)
         assert alone.value.step == best.value.step
         assert alone.value.diagnostics == best.value.diagnostics
     assert later >= 1  # a restart after the first in its stack failed first
@@ -695,11 +709,37 @@ def test_gram_scores_equal_objective_for_every_labelling(rng):
             g, e = _centred_gram(a), _rescaled(a)[1]
             total = objective(a, Clustering(m, 1, (1,) * m))
             for k in range(1, m + 1):
-                for batch in _partition_batches(m, k):
-                    scratch = np.empty((batch.shape[0], k, m)), np.empty((batch.shape[0], k, m))
-                    scores = np.ldexp(_batch_objectives(g, batch, k, scratch), 2 * e)
-                    exact = [objective(a, Clustering(m, k, tuple(row + 1))) for row in batch]
+                for labels, onehot, inv_sizes, prod in _scored_batches(m, k):
+                    scores = np.ldexp(_batch_objectives(g, onehot, inv_sizes, prod), 2 * e)
+                    exact = [objective(a, Clustering(m, k, tuple(row + 1))) for row in labels]
                     np.testing.assert_allclose(scores, exact, rtol=0, atol=1e-12 * total)
+
+
+def test_cached_and_streamed_feeds_agree(monkeypatch):
+    # the same enumeration scored from the cache and streamed in several
+    # batches: the same optimum, and every score within the tolerance above
+    rng = np.random.default_rng(5)
+
+    def search(a, g, k, batch):
+        monkeypatch.setattr(kmeans, "_PARTITION_BATCH", batch)
+        monkeypatch.setattr(kmeans, "_ONE_BATCH", {})
+        first = brute_force_optimal(a, k).assignment  # caches a one-batch enumeration
+        scores = np.concatenate([_batch_objectives(g, *feed[1:])
+                                 for feed in _scored_batches(a.shape[0], k)])
+        return first, brute_force_optimal(a, k).assignment, scores, (a.shape[0], k) in kmeans._ONE_BATCH
+
+    for m in range(1, 10):
+        for a in (rng.standard_normal((m, 3)), rng.standard_normal((m, 2)) * 1e-5 + 1e6):
+            g = _centred_gram(a)
+            total = float(np.trace(g))
+            for k in range(1, m + 1):
+                count = _stirling2(m, k)
+                *cached, scores, kept = search(a, g, k, max(count, _PARTITION_BATCH))
+                assert kept, (m, k)
+                *streamed, streamed_scores, kept = search(a, g, k, -(-count // 3))
+                assert kept == (count == 1), (m, k)
+                assert cached[0] == cached[1] == streamed[0] == streamed[1], (m, k)
+                np.testing.assert_allclose(streamed_scores, scores, rtol=0, atol=1e-12 * total)
 
 
 def test_one_batch_enumerations_are_built_once_and_read_only(monkeypatch):
@@ -711,9 +751,16 @@ def test_one_batch_enumerations_are_built_once_and_read_only(monkeypatch):
             expected = np.vstack(list(_partition_batches(m, k)))
             if expected.shape[0] <= _PARTITION_BATCH:
                 searches.append((a, k, brute_force_optimal(a, k).assignment))
-                assert np.array_equal(_ONE_BATCH[m, k], expected), (m, k)
-                with pytest.raises(ValueError):
-                    _ONE_BATCH[m, k][0, 0] = 1
+                labels, onehot, inv_sizes = _ONE_BATCH[m, k]
+                assert np.array_equal(labels, expected), (m, k)
+                # row t k + c marks cluster c of labelling t
+                members = expected[:, None, :] == np.arange(k)[:, None]
+                assert onehot.dtype == bool, (m, k)
+                assert np.array_equal(onehot, members.reshape(-1, m)), (m, k)
+                assert np.array_equal(inv_sizes, 1.0 / members.sum(axis=2)), (m, k)
+                for array in (labels, onehot, inv_sizes):
+                    with pytest.raises(ValueError):
+                        array[0, 0] = 1
 
     def rebuilt(m, k):
         raise AssertionError(f"enumeration ({m}, {k}) built again")
