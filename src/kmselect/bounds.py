@@ -50,6 +50,19 @@ def _check_gamma(gamma: float) -> None:
         raise ArgumentError(f"gamma must be at least 1, got {gamma}")
 
 
+def _check_k(k: int) -> None:
+    # k counts singular vectors; at k <= 0 sqrt(k/r) or ln(20 k) is undefined
+    if k < 1:
+        raise ArgumentError(f"k must be at least 1, got {k}")
+
+
+def _leverage_width(k: int) -> float:
+    # 16 k ln(20 k), Theorem 3's first-stage sample count before rounding
+    # up; theorem3_factor and pipelines.stage1_width both read it here
+    _check_k(k)
+    return 16.0 * k * math.log(20.0 * k)
+
+
 def theorem1_factor(k: int, r: int, gamma: float) -> float:
     """Guarantee for supervised selection: ``1 + 4*gamma / (1 - sqrt(k/r))^2``.
 
@@ -57,6 +70,7 @@ def theorem1_factor(k: int, r: int, gamma: float) -> float:
     worse (in the original space) than the input clustering.
     """
     _check_gamma(gamma)
+    _check_k(k)
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
     return 1.0 + 4.0 * gamma / (1.0 - math.sqrt(k / r)) ** 2
@@ -69,6 +83,7 @@ def theorem2_factor(n: int, k: int, r: int, gamma: float) -> float:
     optimal clustering cost of the full data.
     """
     _check_gamma(gamma)
+    _check_k(k)
     if not k < r < n:
         raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
     return 1.0 + 4.0 * gamma * (1.0 + math.sqrt(n / r)) ** 2 / (1.0 - math.sqrt(k / r)) ** 2
@@ -83,7 +98,7 @@ def theorem3_factor(k: int, r: int, gamma: float) -> float:
     _check_gamma(gamma)
     if r <= k:
         raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    num = 1.0 + math.sqrt(16.0 * k * math.log(20.0 * k) / r)
+    num = 1.0 + math.sqrt(_leverage_width(k) / r)
     den = 1.0 - math.sqrt(k / r)
     return 15.0 + 320.0 * gamma * (num / den) ** 2
 

@@ -15,19 +15,16 @@ rescales its input checks it that way, after its argument checks, and
 
 :func:`_gram` is the one rescale-and-Gram step: every Gram matrix is
 formed there, of the rescaled data, and the scaled copy is freed before
-the Gram matrix is solved.  One private solver, :func:`_gram_eigh`, serves
-the top-k triplets of :func:`svd_top_k` (on the smaller Gram matrix of
-``A``) and the projected problem of :func:`approx_svd_z`, and
-:func:`singular_values` uses the same route without vectors, on the same
-smaller side.  The solver first tries :func:`_top_eigh`, a
-Chebyshev-filtered subspace iteration from a fixed seed that returns only
-when every one of the top k Ritz pairs has a residual at the Gram route's
-own noise floor; otherwise the full dense ``eigh`` runs, unchanged.  The
-projected problem of :func:`approx_svd_z` is at most ``k + 10`` wide, too
-small for the iteration, so it always takes the dense ``eigh``.  One
-floor, in :func:`_floored_sigma`, zeroes the eigenvalues the Gram route
-cannot resolve, so "rank at least k" is always the single test
-``sigma_k > 0``.
+the Gram matrix is solved.  :func:`svd_top_k` takes the top-k triplets
+from the smaller Gram matrix of ``A``, :func:`approx_svd_z` hands it its
+``l x n`` projection, and :func:`singular_values` uses the same route
+without vectors, on the same smaller side.  The top-k solve first tries
+:func:`_top_eigh`, a Chebyshev-filtered subspace iteration from a fixed
+seed that returns only when every one of the top k Ritz pairs has a
+residual at the Gram route's own noise floor; otherwise the full dense
+``eigh`` runs, unchanged.  One floor, in :func:`_floored_sigma`, zeroes
+the eigenvalues the Gram route cannot resolve, so "rank at least k" is
+always the single test ``sigma_k > 0``.
 """
 
 from __future__ import annotations
@@ -238,19 +235,6 @@ def _gram(b: np.ndarray) -> tuple[np.ndarray, int]:
     return c.T @ c, e
 
 
-def _gram_eigh(b: np.ndarray, shape: tuple, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # Floored singular values of b and the eigenvectors of b.T @ b (the
-    # right singular vectors), largest first; *shape* sets the floor.  The
-    # top k come from _top_eigh when it certifies them, else every pair
-    # from the dense eigh.
-    g, e = _gram(b)
-    top = _top_eigh(g, k, shape)
-    if top is None:
-        lam, vecs = np.linalg.eigh(g)
-        top = lam[::-1], vecs[:, ::-1]
-    return _floored_sigma(top[0], shape, e), top[1]
-
-
 def singular_values(a) -> np.ndarray:
     """All ``min(m, n)`` singular values of *a*, non-increasing.
 
@@ -269,16 +253,14 @@ def numerical_rank(a) -> int:
     return int(np.count_nonzero(singular_values(a)))
 
 
-def _fix_signs(v: np.ndarray, u: np.ndarray | None = None) -> None:
+def _fix_signs(v: np.ndarray, u: np.ndarray) -> None:
     # Reproducible orientation: first nonzero entry of each right singular
-    # vector is made non-negative; the paired left vector, if any, flips
-    # with it.
+    # vector is made non-negative; the paired left vector flips with it.
     for j in range(v.shape[1]):
         nz = np.flatnonzero(v[:, j])
         if nz.size and v[nz[0], j] < 0:
             v[:, j] = -v[:, j]
-            if u is not None:
-                u[:, j] = -u[:, j]
+            u[:, j] = -u[:, j]
 
 
 def svd_top_k(a, k: int) -> SvdTopK:
@@ -302,7 +284,12 @@ def svd_top_k(a, k: int) -> SvdTopK:
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
     # the smaller Gram matrix: of a's columns when tall, of its rows when wide
     b = a if n <= m else a.T
-    sig, vecs = _gram_eigh(b, a.shape, k)
+    g, e = _gram(b)
+    top = _top_eigh(g, k, a.shape)
+    if top is None:
+        lam, vecs = np.linalg.eigh(g)
+        top = lam[::-1], vecs[:, ::-1]
+    sig, vecs = _floored_sigma(top[0], a.shape, e), top[1]
     if sig[k - 1] == 0.0:
         raise RankDeficiencyError(
             f"requested k={k} singular triplets but the numerical rank is lower"
@@ -379,15 +366,23 @@ def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
     in expectation over seeds, ``||e||_F^2 <= (1 + 1/2) * ||a - a_k||_F^2``,
     the sketch accuracy Theorem 3 assumes.
 
-    Uses Gaussian subspace iteration: a test matrix of width ``k + 10``,
-    four power iterations with re-orthonormalization on every pass, then a
-    rank-k truncation of the projected problem; the oversampling and
-    iteration counts comfortably over-deliver on that contract.  Raises
-    :class:`RankDeficiencyError`, as :func:`svd_top_k` does, when the k-th
-    singular value of the sketch falls below the zero floor.  The sketch
-    is taken of *a* rescaled by the package's one scaling rule, which
-    leaves ``z`` as it is and keeps the products finite up to the top of
-    the float64 range.
+    A two-pass range finder: ``q`` orthonormalizes ``a @ omega`` for a
+    Gaussian ``omega`` of ``l = min(3k + 1, m, n)`` columns, and ``z`` is
+    the top-k right singular vectors of ``q.T @ a``, from
+    :func:`svd_top_k`.  Boutsidis, Drineas and Magdon-Ismail (SICOMP 2014,
+    the randomized fast Frobenius-norm SVD) prove that contract, for
+    ``k >= 2``, with ``k + ceil(k/eps) + 1`` columns: ``3k + 1`` at
+    ``eps = 1/2``, the width used.  Halko, Martinsson and Tropp (SIAM
+    Review 2011, Thm 10.5) bound the range itself,
+    ``E||a - q q.T a||_F^2 <= (1 + k/(p - 1)) ||a - a_k||_F^2`` with
+    ``p = l - k >= 2``.  Where ``l`` is capped at ``min(m, n)``, ``q``
+    almost surely spans the column space of *a* and ``z`` is exact.
+    :func:`svd_top_k` raises :class:`RankDeficiencyError` when the k-th
+    singular value of the ``l x n`` projection falls below its zero floor,
+    and orients ``z`` as it orients every ``v``.  The sketch is taken of
+    *a* rescaled by the package's one scaling rule, which leaves ``z`` as
+    it is and keeps the products finite up to the top of the float64
+    range.
     """
     a = _as_2d(a)
     m, n = a.shape
@@ -397,15 +392,5 @@ def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
         raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
     rng = np.random.default_rng(_valid_seed(seed))
     a = _rescaled(a)[0]
-    ell = min(k + 10, m, n)
-    q = _orth(a @ rng.standard_normal((n, ell)))
-    for _ in range(4):
-        w = _orth(a.T @ q)
-        q = _orth(a @ w)
-    w = _orth(a.T @ q)
-    sig, vecs = _gram_eigh(a @ w, a.shape, k)
-    if sig[k - 1] == 0.0:
-        raise RankDeficiencyError(f"k={k} exceeds the numerical rank of the input")
-    z = w @ vecs[:, :k]
-    _fix_signs(z)  # orient like svd_top_k; the residual is unaffected
-    return z
+    q = _orth(a @ rng.standard_normal((n, min(3 * k + 1, m, n))))
+    return svd_top_k(q.T @ a, k).v

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_report, theorem1_factor, theorem2_factor, theorem3_factor
+from .bounds import _leverage_width, bound_report, theorem1_factor, theorem2_factor, theorem3_factor
 from .errors import ArgumentError, RankDeficiencyError, RankFailureError
 from .kmeans import (
     Clustering,
@@ -169,7 +169,7 @@ def _compose(stage1: SamplingPlan, stage2: SamplingPlan) -> SamplingPlan:
 
 def stage1_width(k: int, r: int) -> int:
     """First-stage sample count ``max(r, ceil(16 k ln(20 k)))``."""
-    return max(_valid_int(r, "r"), math.ceil(16.0 * k * math.log(20.0 * k)))
+    return max(_valid_int(r, "r"), math.ceil(_leverage_width(_valid_int(k, "k"))))
 
 
 def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:

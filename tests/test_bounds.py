@@ -64,12 +64,36 @@ def test_theorem2_factor_errors():
 def test_theorem3_factor_value():
     # 15 + 320 * ((1 + sqrt(32 ln 40 / 30)) / (1 - sqrt(2/30)))^2, natural log
     assert theorem3_factor(2, 30, 1.0) == pytest.approx(5191.857156119694, abs=1e-6)
+    # and bit for bit the closed form, however the sum is shared
+    for k, r, gamma in [(2, 30, 1.0), (3, 7, 1.5), (10, 400, 2.0), (1, 2, 1.0)]:
+        num = 1.0 + math.sqrt(16.0 * k * math.log(20.0 * k) / r)
+        den = 1.0 - math.sqrt(k / r)
+        assert theorem3_factor(k, r, gamma) == 15.0 + 320.0 * gamma * (num / den) ** 2
 
 
 def test_theorem3_factor_errors():
     for k, r, gamma in [(4, 4, 1.0), (5, 3, 1.0), (2, 8, 0.5)]:
         with pytest.raises(ArgumentError):
             theorem3_factor(k, r, gamma)
+
+
+def test_theorem_factors_refuse_k_below_one():
+    # at k <= 0 sqrt(k/r) or ln(20 k) is undefined: k < 1 is an argument
+    # error, not a bare "math domain error"
+    calls = [
+        lambda: theorem1_factor(-1, 5, 1.0),
+        lambda: theorem1_factor(0, 5, 1.0),
+        lambda: theorem2_factor(8, -1, 4, 1.0),
+        lambda: theorem2_factor(8, 0, 4, 1.0),
+        lambda: theorem3_factor(0, 5, 1.0),
+        lambda: theorem3_factor(0.5, 5, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ArgumentError, match="k must be at least 1"):
+            call()
+    # the numbers accepted before are accepted as they were
+    assert theorem1_factor(2.0, 8, 1.0) == theorem1_factor(2, 8, 1.0)
+    assert theorem2_factor(8, np.int64(2), 4, 1.0) == theorem2_factor(8, 2, 4, 1.0)
 
 
 def test_theorem3_factor_limit():

@@ -554,3 +554,20 @@ def test_approx_svd_argument_errors(rng):
     noisy += 1e-10 * rng.standard_normal((10, 6))
     with pytest.raises(RankDeficiencyError):
         approx_svd_z(noisy, 3, seed=0)
+    # tall enough that the 3k + 1 = 10 sketch columns are fewer than n
+    tall = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 20))
+    with pytest.raises(RankDeficiencyError):
+        approx_svd_z(tall, 3, seed=0)
+
+
+def test_approx_svd_z_is_svd_top_k_of_the_range_projection(rng):
+    # one top-k routine: z is svd_top_k's v of q.T @ b, where b is the
+    # rescaled input and q the orthonormal range of b @ omega for a
+    # Gaussian omega of min(3k + 1, m, n) columns drawn from the seed
+    for shape, k, scale in [((12, 300), 2, 1.0), ((300, 40), 3, 1.0), ((20, 60), 4, 1e200)]:
+        a = rng.standard_normal(shape) * scale
+        m, n = shape
+        b = np.ldexp(a, -math.frexp(np.abs(a).max())[1]) if scale != 1.0 else a
+        omega = np.random.default_rng(7).standard_normal((n, min(3 * k + 1, m, n)))
+        q, _ = np.linalg.qr(b @ omega)
+        np.testing.assert_array_equal(approx_svd_z(a, k, seed=7), svd_top_k(q.T @ b, k).v)

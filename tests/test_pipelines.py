@@ -212,6 +212,15 @@ def test_stage1_width_constant():
     assert type(stage1_width(np.int64(2), np.int64(500))) is int
 
 
+def test_stage1_width_takes_k_by_the_integer_rule():
+    # k is checked as r is: a float, a bool or a string is refused, and so
+    # is k < 1, where ln(20 k) is undefined
+    for k in (2.5, True, "2", 0, -3):
+        with pytest.raises(ArgumentError, match="k"):
+            stage1_width(k, 5)
+    assert stage1_width(1, 5) == math.ceil(16 * math.log(20.0))
+
+
 def test_randomized_degenerate_stage1_keeps_everything(rng):
     a = rng.standard_normal((10, 8))
     fs = randomized_select(a, 2, 4, seed=0)
