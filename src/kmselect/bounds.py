@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .kmeans import Clustering, objective
-from .linalg import _as_2d, _at_scale, _rescaled, as_matrix, residual, singular_values
+from .linalg import _as_2d, _at_scale, _rescaled, _window, as_matrix, residual, singular_values
 from .sparsify import SamplingPlan, _require_orthonormal_rows, apply_plan
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
@@ -51,8 +51,9 @@ def _check_gamma(gamma: float) -> None:
 
 
 def _check_k(k: int) -> None:
-    # k counts singular vectors; at k <= 0 sqrt(k/r) or ln(20 k) is undefined
-    if k < 1:
+    # k counts singular vectors; at k <= 0 sqrt(k/r) or ln(20 k) is
+    # undefined, and NaN fails the comparison too
+    if not k >= 1:
         raise ArgumentError(f"k must be at least 1, got {k}")
 
 
@@ -71,8 +72,7 @@ def theorem1_factor(k: int, r: int, gamma: float) -> float:
     """
     _check_gamma(gamma)
     _check_k(k)
-    if r <= k:
-        raise ArgumentError(f"need r > k, got r={r}, k={k}")
+    _window(k, r)
     return 1.0 + 4.0 * gamma / (1.0 - math.sqrt(k / r)) ** 2
 
 
@@ -84,8 +84,7 @@ def theorem2_factor(n: int, k: int, r: int, gamma: float) -> float:
     """
     _check_gamma(gamma)
     _check_k(k)
-    if not k < r < n:
-        raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
+    _window(k, r, n)
     return 1.0 + 4.0 * gamma * (1.0 + math.sqrt(n / r)) ** 2 / (1.0 - math.sqrt(k / r)) ** 2
 
 
@@ -96,8 +95,7 @@ def theorem3_factor(k: int, r: int, gamma: float) -> float:
     with the natural logarithm.
     """
     _check_gamma(gamma)
-    if r <= k:
-        raise ArgumentError(f"need r > k, got r={r}, k={k}")
+    _window(k, r)
     num = 1.0 + math.sqrt(_leverage_width(k) / r)
     den = 1.0 - math.sqrt(k / r)
     return 15.0 + 320.0 * gamma * (num / den) ** 2

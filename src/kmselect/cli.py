@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, ResourceLimitError, SelectionError
 from .kmeans import from_labels, objective
+from .linalg import _valid_int
 from .pipelines import BACKENDS, METHODS, _cluster, _needs_given, select_then_cluster
 from .verify import SUITES, run_suite
 
@@ -161,10 +162,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if not 1 <= args.k <= args.m:
-        raise ArgumentError(f"need 1 <= k <= m, got k={args.k}, m={args.m}")
-    if args.n < 1:
-        raise ArgumentError(f"need n >= 1, got {args.n}")
+    _valid_int(args.k, "k", 1, _valid_int(args.m, "m", 1))
+    _valid_int(args.n, "n", 1)
     if not (0 <= args.noise < math.inf and 0 <= args.separation < math.inf):
         raise ArgumentError("separation and noise must be finite and non-negative")
     rng = np.random.default_rng(args.seed)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, NumericalSearchError, ResourceLimitError
-from .linalg import _as_2d, _at_scale, _rescaled, _valid_int, _valid_seed
+from .linalg import _as_2d, _at_scale, _rescaled, _valid_int
 
 _MAX_ITER = 300
 # Lloyd stops once a step lowers the cost by less than this, at the data's scale
@@ -83,10 +83,8 @@ class Clustering:
     assignment: tuple
 
     def __post_init__(self):
-        m = _valid_int(self.num_points, "num_points")
-        k = _valid_int(self.num_clusters, "num_clusters")
-        if m < 1 or k < 1 or k > m:
-            raise ArgumentError(f"invalid clustering shape: m={m}, k={k}")
+        m = _valid_int(self.num_points, "num_points", 1)
+        k = _valid_int(self.num_clusters, "num_clusters", 1, m)
         if len(self.assignment) != m:
             raise ArgumentError("assignment must have one label per point")
         labels = tuple(_valid_int(x, "label") for x in self.assignment)
@@ -162,6 +160,12 @@ def _cost(b: np.ndarray, centroids: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.square(out, out=out).sum(axis=(-2, -1))
 
 
+def _require_covers(c: Clustering, m: int) -> None:
+    # the one rule that a clustering labels every one of a matrix's m rows
+    if c.num_points != m:
+        raise ArgumentError(f"clustering covers {c.num_points} points but the matrix has {m} rows")
+
+
 def objective(a, c: Clustering) -> float:
     """k-means cost of clustering the rows of *a* with *c*.
 
@@ -172,10 +176,7 @@ def objective(a, c: Clustering) -> float:
     :class:`ContractViolationError`.
     """
     a = _as_2d(a)
-    if a.shape[0] != c.num_points:
-        raise ArgumentError(
-            f"matrix has {a.shape[0]} rows but the clustering covers {c.num_points} points"
-        )
+    _require_covers(c, a.shape[0])
     labels = c.labels0()
     b, e = _rescaled(a)
     # one labelling: its labels are its rows of the centroids
@@ -196,9 +197,7 @@ def _checked(a, k: int) -> np.ndarray:
     # *a* as a matrix of at least k rows, entries unchecked: the caller's
     # rescale checks them
     a = _as_2d(a)
-    m = a.shape[0]
-    if not 1 <= _valid_int(k, "k") <= m:
-        raise ArgumentError(f"need 1 <= k <= m, got k={k}, m={m}")
+    _valid_int(k, "k", 1, a.shape[0])
     return a
 
 
@@ -253,7 +252,7 @@ def kmeanspp_init(a, k: int, seed: int) -> np.ndarray:
     squares overflow.
     """
     a = _checked(a, k)
-    _valid_seed(seed)
+    _valid_int(seed, "seed", 0)
     return a[_kmeanspp(_rescaled(a)[0], k, (seed,))[0]]
 
 
@@ -318,13 +317,6 @@ def _lloyd(b: np.ndarray, centroids: np.ndarray, tol: float) -> tuple[np.ndarray
     return labels_out, costs_out
 
 
-def _require_restarts(restarts: int) -> int:
-    restarts = _valid_int(restarts, "restarts")
-    if restarts < 1:
-        raise ArgumentError(f"need at least one restart, got {restarts}")
-    return restarts
-
-
 def lloyd(a, k: int, seed: int | None = None) -> Clustering:
     """One k-means++-seeded Lloyd run: ``lloyd_best(a, k, 1, seed)``."""
     return lloyd_best(a, k, 1, seed)
@@ -358,8 +350,8 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     ``max(m * n, 2**16)`` floats, so memory does not grow with *restarts*.
     """
     a = _checked(a, k)
-    restarts = _require_restarts(restarts)
-    base = _valid_seed(0 if seed is None else seed)
+    restarts = _valid_int(restarts, "restarts", 1)
+    base = _valid_int(0 if seed is None else seed, "seed", 0)
     b, e = _centred(a)
     with np.errstate(over="ignore"):  # saturates at inf, below which every decrease falls
         tol = float(np.ldexp(_TOL, -2 * e))

@@ -60,26 +60,30 @@ def _as_2d(a) -> np.ndarray:
     return arr
 
 
-def _valid_seed(seed):
-    # the one seed rule, numpy's own: an integer >= 0, checked with a
-    # function's other arguments, before its matrix is read, and returned
-    # as a Python int.  Where a signature defaults to None, the caller
-    # passes 0 for it.  bool subclasses int, so it is refused by name, as
-    # in _valid_int
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
-def _valid_int(x, what: str):
-    # the one integer rule for k, r, restarts and trials: a Python or numpy
-    # integer, checked, as the seed is, before a function's matrix is read,
-    # and returned as a Python int, the type every output echoes; each
-    # function keeps its own range check.  bool subclasses int, so it is
-    # refused by name
+def _valid_int(x, what: str, low=-math.inf, high=math.inf) -> int:
+    # the one count rule, for k, r, n, restarts, trials, seeds, plan
+    # dimensions and indices: a Python or numpy integer in [low, high],
+    # checked before a function's matrix is read and returned as a Python
+    # int, the type every output echoes.  bool subclasses int, so it is
+    # refused by name.  A seed follows numpy's own rule, an integer >= 0;
+    # where a signature defaults it to None, the caller passes 0.  The
+    # range is compared on the Python int: a numpy integer compared with
+    # a float bound took ten times as long, once per label of a clustering
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ArgumentError(f"{what} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if not low <= x <= high:
+        most = "" if high == math.inf else f" and at most {high}"
+        raise ArgumentError(f"{what} must be at least {low}{most}, got {x}")
+    return x
+
+
+def _window(k, r, n=math.inf) -> None:
+    # the one window rule of the guarantees, k < r < n, for integer counts
+    # and the theorem factors' floats alike; n = inf where only k < r is
+    # needed.  NaN fails every comparison, so it is refused too
+    if not k < r < n:
+        raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -280,8 +284,7 @@ def svd_top_k(a, k: int) -> SvdTopK:
     """
     a = _as_2d(a)
     m, n = a.shape
-    if not 1 <= _valid_int(k, "k") <= min(m, n):
-        raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
+    k = _valid_int(k, "k", 1, min(m, n))
     # the smaller Gram matrix: of a's columns when tall, of its rows when wide
     b = a if n <= m else a.T
     g, e = _gram(b)
@@ -332,11 +335,9 @@ def spectral_norm(a) -> float:
 
 def sigma_k(a, k: int) -> float:
     """k-th largest singular value (zero if the rank is below k)."""
-    _valid_int(k, "k")
-    s = singular_values(a)
-    if not 1 <= k <= s.size:
-        raise ArgumentError(f"k={k} out of range, matrix has {s.size} singular values")
-    return float(s[k - 1])
+    a = _as_2d(a)
+    k = _valid_int(k, "k", 1, min(a.shape))
+    return float(singular_values(a)[k - 1])
 
 
 def _minus_product(a: np.ndarray, left, right, out: np.ndarray) -> np.ndarray:
@@ -386,11 +387,8 @@ def approx_svd_z(a, k: int, seed: int) -> np.ndarray:
     """
     a = _as_2d(a)
     m, n = a.shape
-    if _valid_int(k, "k") < 2:
-        raise ArgumentError(f"k must be at least 2, got {k}")
-    if k > min(m, n):
-        raise ArgumentError(f"k={k} out of range for a {m}x{n} matrix")
-    rng = np.random.default_rng(_valid_seed(seed))
+    k = _valid_int(k, "k", 2, min(m, n))
+    rng = np.random.default_rng(_valid_int(seed, "seed", 0))
     a = _rescaled(a)[0]
     q = _orth(a @ rng.standard_normal((n, min(3 * k + 1, m, n))))
     return svd_top_k(q.T @ a, k).v

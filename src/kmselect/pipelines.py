@@ -29,17 +29,18 @@ from .bounds import _leverage_width, bound_report, theorem1_factor, theorem2_fac
 from .errors import ArgumentError, RankDeficiencyError, RankFailureError
 from .kmeans import (
     Clustering,
+    _require_covers,
     _require_enumerable,
-    _require_restarts,
     brute_force_optimal,
     indicator,
     lloyd_best,
     objective,
 )
-from .linalg import _as_2d, _minus_product, _valid_int, _valid_seed, approx_svd_z, svd_top_k
+from .linalg import _as_2d, _minus_product, _valid_int, _window, approx_svd_z, svd_top_k
 from .sparsify import (
     SamplingPlan,
     _columns,
+    _gather,
     _identity,
     _merged,
     _plan,
@@ -58,7 +59,10 @@ class FeatureSelection:
 
     ``reduced`` is exactly ``apply_plan(a, plan)``, repeated picks
     included, also where :func:`select_then_cluster` runs Lloyd on the
-    distinct columns alone; ``seed`` is None for the deterministic methods
+    distinct columns alone.  A pipeline gathers it without reading *a*'s
+    extremes again: its first public call, :func:`~kmselect.linalg.svd_top_k`
+    or :func:`~kmselect.linalg.approx_svd_z`, has checked that *a* is
+    finite.  ``seed`` is None for the deterministic methods
     and ``stage1_size`` is the width of the first sampling stage
     (randomized method only).  ``basis`` is the orthonormal
     n x k matrix the selection was built around (exact or sketched right
@@ -86,21 +90,6 @@ class FeatureSelection:
         }
 
 
-def _validate_window(k: int, r: int, n: int) -> tuple[int, int]:
-    # k and r as Python ints, once k < r < n holds
-    k, r = _valid_int(k, "k"), _valid_int(r, "r")
-    if not k < r < n:
-        raise ArgumentError(f"need k < r < n, got k={k}, r={r}, n={n}")
-    return k, r
-
-
-def _require_covers(given: Clustering, m: int) -> None:
-    if given.num_points != m:
-        raise ArgumentError(
-            f"clustering covers {given.num_points} points but the matrix has {m} rows"
-        )
-
-
 def _stacked_residual(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
     # [a - a v v.T ; a - x x.T a], x the indicator of *given*: the 2m x n
     # second set of supervised selection, each half written in place
@@ -123,7 +112,8 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     """
     a = _as_2d(a)
     m, n = a.shape
-    k, r = _validate_window(k, r, n)
+    k, r = _valid_int(k, "k"), _valid_int(r, "r")
+    _window(k, r, n)
     _require_covers(given, m)
     if given.num_clusters != k:
         raise ArgumentError(
@@ -132,7 +122,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     top = svd_top_k(a, k)
     plan = deterministic_sampling_one(top.v.T, _stacked_residual(a, top.v, given), r)
     return FeatureSelection(
-        plan=plan, reduced=apply_plan(a, plan), method="supervised", k=k, r=r,
+        plan=plan, reduced=_gather(a, *_columns(plan)), method="supervised", k=k, r=r,
         basis=top.v,
     )
 
@@ -147,11 +137,12 @@ def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
     """
     a = _as_2d(a)
     _, n = a.shape
-    k, r = _validate_window(k, r, n)
+    k, r = _valid_int(k, "k"), _valid_int(r, "r")
+    _window(k, r, n)
     top = svd_top_k(a, k)
     plan = deterministic_sampling_two(top.v.T, _identity(n), r)
     return FeatureSelection(
-        plan=plan, reduced=apply_plan(a, plan), method="unsupervised", k=k, r=r,
+        plan=plan, reduced=_gather(a, *_columns(plan)), method="unsupervised", k=k, r=r,
         basis=top.v,
     )
 
@@ -192,9 +183,8 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
     a = _as_2d(a)
     _, n = a.shape
     r, k = _valid_int(r, "r"), _valid_int(k, "k")
-    if r <= k:
-        raise ArgumentError(f"need r > k, got r={r}, k={k}")
-    seed = _valid_seed(seed)
+    _window(k, r)
+    seed = _valid_int(seed, "seed", 0)
     z = approx_svd_z(a, k, _child_seed(seed, 0))
     c = stage1_width(k, r)
     if c >= n:
@@ -217,7 +207,7 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
         plan = _compose(stage1, deterministic_sampling_two(narrowed.v.T, _identity(c), r))
     return FeatureSelection(
         plan=plan,
-        reduced=apply_plan(a, plan),
+        reduced=_gather(a, *_columns(plan)),
         method="randomized",
         k=k,
         r=r,
@@ -292,11 +282,11 @@ def select_then_cluster(
     if backend not in BACKENDS:
         raise ArgumentError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     if seed is not None:
-        seed = _valid_seed(seed)
+        seed = _valid_int(seed, "seed", 0)
     if backend == "brute":
         _require_enumerable(m)
     else:
-        restarts = _require_restarts(restarts)
+        restarts = _valid_int(restarts, "restarts", 1)
     if given is not None:
         _require_covers(given, m)
     k, r = _valid_int(k, "k"), _valid_int(r, "r")

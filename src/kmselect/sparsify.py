@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, NumericalSearchError
-from .linalg import _as_2d, _scale_exponent, _valid_int, _valid_seed, as_matrix
+from .linalg import _as_2d, _scale_exponent, _valid_int, _window, as_matrix
 
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
@@ -68,13 +68,12 @@ class SamplingPlan:
     weights: tuple
 
     def __post_init__(self):
-        dims = _valid_int(self.source_dim, "source_dim"), _valid_int(self.target_dim, "target_dim")
-        if min(dims) < 1:
-            raise ArgumentError("plan dimensions must be positive")
+        _valid_int(self.source_dim, "source_dim", 1)
+        _valid_int(self.target_dim, "target_dim", 1)
         if len(self.indices) != self.target_dim or len(self.weights) != self.target_dim:
             raise ArgumentError("indices and weights must both have target_dim entries")
-        if any(not 1 <= _valid_int(i, "plan index") <= self.source_dim for i in self.indices):
-            raise ArgumentError("plan indices must lie in [1, source_dim]")
+        for i in self.indices:
+            _valid_int(i, "plan index", 1, self.source_dim)
         # bool subclasses int, so it is refused by name
         if any(isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating))
                or not 0.0 < w < math.inf for w in self.weights):
@@ -142,7 +141,7 @@ def identity_plan(n: int) -> SamplingPlan:
     *n* follows the one integer rule and must be at least 1, else
     :class:`ArgumentError`.
     """
-    return _plan(_valid_int(n, "n"), range(n), (1.0,) * n)
+    return _plan(_valid_int(n, "n", 1), range(n), (1.0,) * n)
 
 
 def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
@@ -358,21 +357,20 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     over blocks of rows, so a C-ordered *b* costs O(n) scratch at any
     scale.  The output is a pure function of the inputs.
     """
-    _valid_int(r, "r")
-    v_rows = as_matrix(v_rows)
+    v_rows = _as_2d(v_rows)
+    k, n = v_rows.shape
+    _window(k, _valid_int(r, "r"))
+    as_matrix(v_rows)
     b = _as_2d(b)
     # the charges are ratios of squares: the one scaling rule, which also
     # checks that b is finite, keeps them finite at any scale, and exact
     # wherever the squares stay normal
     col_sq = _column_sq_norms(b, _scale_exponent(b))
-    k, n = v_rows.shape
     if b.shape[1] != n:
         raise ArgumentError(
             f"second set has {b.shape[1]} columns, expected {n}"
         )
     _require_orthonormal_rows(v_rows, "v_rows")
-    if r <= k:
-        raise ArgumentError(f"need r > k, got r={r}, k={k}")
     fro2 = float(col_sq.sum())
     # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
     charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq
@@ -397,16 +395,15 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
     the loop's column weights, so the candidate scan runs in O(n) per
     iteration.  The output is a pure function of the inputs.
     """
-    _valid_int(r, "r")
-    v_rows = as_matrix(v_rows)
+    v_rows = _as_2d(v_rows)
     k, n = v_rows.shape
+    _window(k, _valid_int(r, "r"))
+    as_matrix(v_rows)
     q = np.asarray(q, dtype=float)
     if not _is_identity(q, n):
         as_matrix(q)
         raise ArgumentError("q must be the n x n identity")
     _require_orthonormal_rows(v_rows, "v_rows")
-    if r <= k:
-        raise ArgumentError(f"need r > k, got r={r}, k={k}")
     return _dual_set_loop(v_rows, r, _identity_upper(n, k, r))
 
 
@@ -419,9 +416,8 @@ def randomized_sampling(v_rows, r: int, seed: int) -> SamplingPlan:
     source's.  Fully reproducible for a fixed seed.
     """
     v_rows = _as_2d(v_rows)
-    if _valid_int(r, "r") < 1:
-        raise ArgumentError(f"need r >= 1, got {r}")
-    rng = np.random.default_rng(_valid_seed(seed))
+    r = _valid_int(r, "r", 1)
+    rng = np.random.default_rng(_valid_int(seed, "seed", 0))
     p = leverage_scores(v_rows)
     draws = rng.choice(p.size, size=r, replace=True, p=p)
     return _plan(p.size, draws, 1.0 / np.sqrt(p[draws] * r))

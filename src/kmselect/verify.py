@@ -35,7 +35,7 @@ import numpy as np
 from .bounds import structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, from_labels, indicator, lloyd_best, objective
-from .linalg import _valid_int, _valid_seed, approx_svd_z, frobenius_norm, sigma_k
+from .linalg import _valid_int, approx_svd_z, frobenius_norm, sigma_k
 from .pipelines import (
     _needs_given,
     _select,
@@ -396,8 +396,6 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
             f"unknown suite {name!r}; known suites: {', '.join(sorted(SUITES))}"
         )
     suite = SUITES[name]
-    n = suite.default_trials if trials is None else _valid_int(trials, "trials")
-    if n < 1:
-        raise ArgumentError(f"need at least one trial, got {n}")
-    _valid_seed(seed)
+    n = suite.default_trials if trials is None else _valid_int(trials, "trials", 1)
+    _valid_int(seed, "seed", 0)
     return _summarize(suite, seed, *suite.runner(n, seed))

@@ -107,6 +107,22 @@ def test_theorem3_factor_monotone_decreasing_in_r():
     assert all(a > b for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: theorem1_factor(math.nan, 5, 1.0),
+    lambda: theorem1_factor(2, math.nan, 1.0),
+    lambda: theorem2_factor(math.nan, 2, 5, 1.0),
+    lambda: theorem2_factor(8, math.nan, 5, 1.0),
+    lambda: theorem2_factor(8, 2, math.nan, 1.0),
+    lambda: theorem3_factor(math.nan, 5, 1.0),
+    lambda: theorem3_factor(2, math.nan, 1.0),
+], ids=["t1-k", "t1-r", "t2-n", "t2-k", "t2-r", "t3-k", "t3-r"])
+def test_theorem_factors_refuse_a_nan_count(call):
+    # every range test is False on NaN, so each is written to fail on it:
+    # a NaN factor would make bound_report say the bound fails, with no error
+    with pytest.raises(ArgumentError, match="got .*nan"):
+        call()
+
+
 def test_supervision_always_helps():
     for n in (10, 50, 300):
         for k in (2, 3, 5):

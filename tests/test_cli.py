@@ -401,7 +401,7 @@ def test_verify_refuses_zero_trials(capsys):
     assert run_cli("verify", "--suite", "sampler-two-bounds", "--trials", 0) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: need at least one trial, got 0\n"
+    assert captured.err == "error: trials must be at least 1, got 0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kmselect import pipelines
+from kmselect import linalg, pipelines, sparsify
 from kmselect.bounds import theorem1_factor, theorem2_factor, theorem3_factor
 from kmselect.errors import (
     ArgumentError,
@@ -190,6 +190,28 @@ def test_deterministic_pipelines_keep_full_rank(rng):
             supervised_select(a, brute_force_optimal(a, k), k, 4),
         ):
             assert sigma_k(apply_plan(fs.basis.T, fs.plan), k) > 0.0
+
+
+@pytest.mark.parametrize("method", ["supervised", "unsupervised", "randomized"])
+def test_each_pipeline_reads_its_matrix_once(rng, monkeypatch, method):
+    # a pipeline leaves the finiteness check of a to its first public call,
+    # and builds the reduced matrix without another read of a's extremes.
+    # A read of a or of a.T counts; 200 columns keep the randomized first
+    # stage below n, and 30 rows keep the sketch's q.T a smaller than a
+    a = rng.standard_normal((30, 200))
+    given = lloyd_best(a, 3, restarts=1, seed=0)
+    reads, read = [], linalg._scale_exponent
+
+    def counted(x):
+        if x.shape in (a.shape, a.T.shape):
+            reads.append(x.shape)
+        return read(x)
+
+    for module in (linalg, sparsify):
+        monkeypatch.setattr(module, "_scale_exponent", counted)
+    fs = pipelines._select(a, 3, 8, method, 0, given)
+    assert len(reads) == 1
+    np.testing.assert_array_equal(fs.reduced, apply_plan(a, fs.plan))
 
 
 # ---------------------------------------------------------------------------

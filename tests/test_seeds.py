@@ -5,8 +5,10 @@ nothing else, not even a ``bool``, raising :class:`ArgumentError` before
 its matrix is read.  Where the signature defaults to ``None``, ``None``
 means 0; elsewhere ``None`` is refused, so no call draws fresh entropy.
 The counts ``k``, ``r``, ``restarts`` and ``trials`` must be integers in
-the same way.
+the same way, each in its range and ``r`` in the ``k < r < n`` window.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -58,11 +60,18 @@ def comparable(value):
     return value
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, False])
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be at least 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (2.0, "seed must be an integer, got 2.0"),
+    ("3", "seed must be an integer, got '3'"),
+    (True, "seed must be an integer, got True"),
+    (False, "seed must be an integer, got False"),
+])
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_a_bad_seed_is_an_argument_error_before_the_matrix_is_read(name, seed):
+def test_a_bad_seed_is_an_argument_error_before_the_matrix_is_read(name, seed, message):
     # the matrix holds a NaN, which the finiteness check would report
-    with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+    with pytest.raises(ArgumentError, match=re.escape(message)):
         call(name, seed, spoil=True)
 
 
@@ -120,6 +129,59 @@ def test_a_non_integer_count_is_an_argument_error_before_the_matrix_is_read(name
         fn(matrix, value)
 
 
+# each count's value below its floor and, where it has one, above its
+# ceiling (k > min(m, n), r >= n), with the message of the one count rule
+# or, for r, of the one k < r < n window rule; the samplers' floor is r = k
+RANGES = {
+    "svd_top_k.k": [(0, "k must be at least 1 and at most 8, got 0"),
+                    (9, "k must be at least 1 and at most 8, got 9")],
+    "sigma_k.k": [(0, "k must be at least 1 and at most 8, got 0"),
+                  (9, "k must be at least 1 and at most 8, got 9")],
+    "approx_svd_z.k": [(1, "k must be at least 2 and at most 8, got 1"),
+                       (9, "k must be at least 2 and at most 8, got 9")],
+    "deterministic_sampling_one.r": [(K, "need k < r < n, got k=2, r=2, n=inf")],
+    "deterministic_sampling_two.r": [(K, "need k < r < n, got k=2, r=2, n=inf")],
+    "randomized_sampling.r": [(0, "r must be at least 1, got 0")],
+    "kmeanspp_init.k": [(0, "k must be at least 1 and at most 8, got 0"),
+                        (9, "k must be at least 1 and at most 8, got 9")],
+    "lloyd_best.k": [(0, "k must be at least 1 and at most 8, got 0"),
+                     (9, "k must be at least 1 and at most 8, got 9")],
+    "lloyd_best.restarts": [(0, "restarts must be at least 1, got 0")],
+    "brute_force_optimal.k": [(0, "k must be at least 1 and at most 8, got 0"),
+                              (9, "k must be at least 1 and at most 8, got 9")],
+    "supervised_select.r": [(K, "need k < r < n, got k=2, r=2, n=10"),
+                            (N, "need k < r < n, got k=2, r=10, n=10")],
+    "unsupervised_select.k": [(0, "k must be at least 1 and at most 8, got 0"),
+                              (9, "need k < r < n, got k=9, r=4, n=10")],
+    "unsupervised_select.r": [(K, "need k < r < n, got k=2, r=2, n=10"),
+                              (N, "need k < r < n, got k=2, r=10, n=10")],
+    "randomized_select.k": [(1, "k must be at least 2 and at most 8, got 1"),
+                            (9, "need k < r < n, got k=9, r=4, n=inf")],
+    "randomized_select.r": [(K, "need k < r < n, got k=2, r=2, n=inf")],
+    "select_then_cluster.restarts": [(0, "restarts must be at least 1, got 0")],
+    "run_suite.trials": [(0, "trials must be at least 1, got 0")],
+}
+
+
+def test_every_count_has_its_range_cases():
+    assert RANGES.keys() == COUNTS.keys()
+
+
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param(name, value, message, id=f"{name}={value}")
+    for name in sorted(RANGES) for value, message in RANGES[name]
+])
+def test_a_count_out_of_range_is_an_argument_error_before_the_matrix_is_read(
+        name, value, message):
+    matrix, fn = COUNTS[name]
+    if matrix is not None:
+        # a NaN, which the finiteness check would report
+        matrix = matrix.copy()
+        matrix[0, 0] = np.nan
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        fn(matrix, value)
+
+
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_a_numpy_integer_count_is_an_integer(name):
     matrix, fn = COUNTS[name]
@@ -151,7 +213,7 @@ def test_from_labels_refuses_a_non_integer_label_or_count(name):
 def test_from_labels_refuses_no_labels():
     # a clustering shape error, not max()'s bare ValueError
     for count in (None, 2):
-        with pytest.raises(ArgumentError, match="invalid clustering shape: m=0"):
+        with pytest.raises(ArgumentError, match="num_points must be at least 1, got 0"):
             from_labels([], count)
 
 

@@ -59,7 +59,7 @@ def test_plan_json_round_trip():
     ((4, 1, (1,), (math.inf,)), "finite and positive"),
     ((4, 1, (1,), (np.float64(np.inf),)), "finite and positive"),
     ((4, 2, (1, 2), (1.0, 1e309)), "finite and positive"),
-    ((0, 0, (), ()), "plan dimensions must be positive"),
+    ((0, 0, (), ()), "source_dim must be at least 1, got 0"),
     ((4, 1, (2,), ("0.5",)), "finite and positive"),
     ((4, 1, (2,), (True,)), "finite and positive"),
     ((4, 1, (2,), (np.True_,)), "finite and positive"),
@@ -107,8 +107,8 @@ def test_plan_takes_numpy_integers_and_floats():
     ("3", "n must be an integer, got '3'"),
     (None, "n must be an integer, got None"),
     (True, "n must be an integer, got True"),
-    (0, "plan dimensions must be positive"),
-    (-2, "plan dimensions must be positive"),
+    (0, "n must be at least 1, got 0"),
+    (-2, "n must be at least 1, got -2"),
 ], ids=["float", "str", "none", "bool", "zero", "negative"])
 def test_identity_plan_refuses_a_non_integer_or_empty_width(n, match):
     with pytest.raises(ArgumentError, match=match):
