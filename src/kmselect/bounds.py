@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ArgumentError
 from .kmeans import Clustering, objective
 from .linalg import _as_2d, _at_scale, _rescaled, _window, as_matrix, residual, singular_values
-from .sparsify import SamplingPlan, _require_orthonormal_rows, apply_plan
+from .sparsify import SamplingPlan, _columns, _gather, _require_orthonormal_rows, apply_plan
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
 # lhs <= rhs + COMPARISON_SLACK * max(1, rhs).
@@ -128,7 +128,8 @@ def structural_check(
     ``objective(apply_plan(a, plan), in_clust)``, since projecting the rows
     commutes with sampling the columns.  Beyond the input, the check holds
     one m x n array at a time: the residual ``e``, sampled and then squared
-    in place, or a cost's scratch.
+    in place, or a cost's scratch.  It reads the extremes of an m x n array
+    three times: its own rescale, the left side's and the residual's.
 
     Both sides are homogeneous of degree 2 in *a*: the verdict is taken on
     *a* rescaled by the package's one scaling rule, and the sides are
@@ -148,7 +149,10 @@ def structural_check(
     applicable = bool(sig.size >= k and sig[k - 1] > 0.0)
     rhs = float("nan")  # fails every comparison, so an inapplicable report never holds
     if applicable:
-        sampled = objective(apply_plan(a, plan), in_clust) + np.square(apply_plan(e, plan)).sum()
+        # apply_plan(z.T, plan) has checked the plan against the n columns
+        # of a and e, and both are finite: gather without another read
+        columns = _columns(plan)
+        sampled = objective(_gather(a, *columns), in_clust) + np.square(_gather(e, *columns)).sum()
         rhs = float(np.square(e, out=e).sum() + 2.0 * gamma * sampled / sig[k - 1] ** 2)
     context["applicable"] = applicable
     report = bound_report("structural-bound", lhs, rhs, gamma, context)

@@ -43,17 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise ArgumentError(message)
 
 
-def _seed(text: str) -> int:
-    # numpy takes only non-negative integer seeds
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def read_matrix_csv(path: str, has_header: bool) -> np.ndarray:
     """Read a points-by-features matrix of decimal reals from a CSV file.
 
@@ -112,7 +101,9 @@ def write_labels(path: str, labels) -> None:
             fh.write(f"{int(lab)}\n")
 
 
-def _emit_report(report: dict, output: str) -> None:
+def _emit_report(command: str, fields: dict, output: str) -> None:
+    # the report of *command*: its name and the time, then its own fields
+    report = {"command": command, "timestamp": datetime.now(timezone.utc).isoformat(), **fields}
     text = json.dumps(report, indent=2)
     if output == "-":
         print(text)
@@ -139,31 +130,30 @@ def _cmd_select(args) -> int:
         restarts=args.restarts,
         given=given,
     )
-    report = {"command": "select", "timestamp": _timestamp(), "input": args.input, **report}
-    _emit_report(report, args.output)
+    _emit_report("select", {"input": args.input, **report}, args.output)
     return EXIT_OK
 
 
 def _cmd_cluster(args) -> int:
+    if args.seed is not None:  # the exhaustive backend ignores the seed, so check it here
+        _valid_int(args.seed, "seed", 0)
     a = read_matrix_csv(args.input, args.has_header)
     c, gamma = _cluster(a, args.k, args.backend, args.restarts, args.seed)
-    report = {
-        "command": "cluster",
-        "timestamp": _timestamp(),
+    _emit_report("cluster", {
         "input": args.input,
         "backend": args.backend,
         # restarts drive only the backend that certifies no factor
         "restarts": args.restarts if gamma is None else None,
         "seed": args.seed,
         **c.to_dict(objective(a, c)),
-    }
-    _emit_report(report, args.output)
+    }, args.output)
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
     _valid_int(args.k, "k", 1, _valid_int(args.m, "m", 1))
     _valid_int(args.n, "n", 1)
+    _valid_int(args.seed, "seed", 0)
     if not (0 <= args.noise < math.inf and 0 <= args.separation < math.inf):
         raise ArgumentError("separation and noise must be finite and non-negative")
     rng = np.random.default_rng(args.seed)
@@ -184,8 +174,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     summary = run_suite(args.suite, trials=args.trials, seed=args.seed)
-    report = {"command": "verify", "timestamp": _timestamp(), **summary}
-    _emit_report(report, args.output)
+    _emit_report("verify", summary, args.output)
     return EXIT_OK if summary["suite_passed"] else EXIT_NUMERICAL
 
 
@@ -204,22 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", default="-", help="report path, '-' for stdout")
 
+    def add_clustering(p):
+        p.add_argument("--k", type=int, required=True, help="number of clusters")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--backend", choices=BACKENDS, default="lloyd")
+        p.add_argument("--restarts", type=int, default=20)
+
     select = sub.add_parser("select", help="run a selection pipeline and cluster the result")
     add_io(select)
     select.add_argument("--labels", default=None, help="1-based labels file (supervised only)")
     select.add_argument("--method", required=True, choices=METHODS)
-    select.add_argument("--k", type=int, required=True, help="number of clusters")
+    add_clustering(select)  # --k before --r, the order argparse names missing flags in
     select.add_argument("--r", type=int, required=True, help="number of features to select")
-    select.add_argument("--seed", type=_seed, default=None)
-    select.add_argument("--backend", choices=BACKENDS, default="lloyd")
-    select.add_argument("--restarts", type=int, default=20)
 
     cluster = sub.add_parser("cluster", help="cluster without selection, for baselines")
     add_io(cluster)
-    cluster.add_argument("--k", type=int, required=True)
-    cluster.add_argument("--seed", type=_seed, default=None)
-    cluster.add_argument("--backend", choices=BACKENDS, default="lloyd")
-    cluster.add_argument("--restarts", type=int, default=20)
+    add_clustering(cluster)
 
     synth = sub.add_parser("synth", help="generate a Gaussian-mixture dataset")
     synth.add_argument("--m", type=int, required=True, help="number of points")
@@ -227,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--k", type=int, required=True, help="number of blobs")
     synth.add_argument("--separation", type=float, default=5.0)
     synth.add_argument("--noise", type=float, default=1.0)
-    synth.add_argument("--seed", type=_seed, default=0)
+    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--output", required=True, help="CSV path to write")
     synth.add_argument(
         "--labels-output", default=None,
@@ -237,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named property suite")
     verify.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
     verify.add_argument("--trials", type=int, default=None)
-    verify.add_argument("--seed", type=_seed, default=0)
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--output", default="-")
 
     return parser

@@ -278,9 +278,7 @@ def _lloyd(b: np.ndarray, centroids: np.ndarray, tol: float) -> tuple[np.ndarray
     s, k = centroids.shape[:2]
     sq, twice = np.square(b).sum(axis=1), 2.0 * b
     labels_out, costs_out = np.empty((s, b.shape[0]), dtype=np.intp), np.empty(s)
-    live = np.arange(s)
-    # no labelling repeats these, and every first cost is below inf
-    prev_labels, prev_obj = np.full(labels_out.shape, -1), np.full(s, np.inf)
+    live, prev_obj = np.arange(s), np.full(s, np.inf)  # every first cost is below inf
     for step in range(_MAX_ITER):
         # squared distances to each run's centroids, labels (argmin breaks
         # ties toward the smallest index) and (s, k) cluster sizes
@@ -290,13 +288,6 @@ def _lloyd(b: np.ndarray, centroids: np.ndarray, tol: float) -> tuple[np.ndarray
         sizes = np.bincount(_stack_rows(labels, k).ravel(), minlength=live.size * k).reshape(-1, k)
         for t in np.flatnonzero((sizes == 0).any(axis=1)):
             _repair_empty(labels[t], d2[t], sizes[t])
-        # a repeated labelling has the centroids and cost of the step before
-        same = (labels == prev_labels).all(axis=1)
-        if same.any():
-            labels_out[live[same]], costs_out[live[same]] = labels[same], prev_obj[same]
-            live, labels, sizes, prev_obj = live[~same], labels[~same], sizes[~same], prev_obj[~same]
-            if not live.size:
-                break
         centroids = _centroids(b, labels, sizes)
         obj = _cost(b, centroids, _stack_rows(labels, k))
         # exact arithmetic never raises the cost; rounding can, on points
@@ -307,13 +298,16 @@ def _lloyd(b: np.ndarray, centroids: np.ndarray, tol: float) -> tuple[np.ndarray
             raise NumericalSearchError(
                 f"Lloyd step {step} raised the cost: {prev_obj[t]} -> {obj[t]}", step=step,
                 diagnostics={"restart": live[t], "previous_cost": prev_obj[t], "cost": obj[t]})
-        stop = (prev_obj - obj < tol) | (step == _MAX_ITER - 1)
+        # a repeated labelling repeats the centroids and cost of the step
+        # before bit for bit, so an unchanged cost stops a run even when tol
+        # underflows to 0
+        stop = (obj == prev_obj) | (prev_obj - obj < tol) | (step == _MAX_ITER - 1)
         if stop.any():
             labels_out[live[stop]], costs_out[live[stop]] = labels[stop], obj[stop]
             live, labels, obj, centroids = live[~stop], labels[~stop], obj[~stop], centroids[~stop]
             if not live.size:
                 break
-        prev_labels, prev_obj = labels, obj
+        prev_obj = obj
     return labels_out, costs_out
 
 
@@ -326,8 +320,9 @@ def lloyd_best(a, k: int, restarts: int = 20, seed: int | None = None) -> Cluste
     """Best of *restarts* seeded k-means++/Lloyd runs (ties keep the earliest).
 
     Restart ``t`` seeds k-means++ with ``seed + t`` (0 + t without a seed),
-    then alternates assignment and centroid steps until the labels repeat,
-    the objective decrease drops below 1e-10, or 300 iterations have run.
+    then alternates assignment and centroid steps until a step leaves the
+    cost unchanged or lowers it by less than 1e-10, or 300 iterations have
+    run.
     The objective is non-increasing across iterations in exact arithmetic;
     a step that raises it, which only rounding can do (on points whose
     offset dwarfs their spread), raises :class:`NumericalSearchError` with

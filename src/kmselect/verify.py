@@ -17,8 +17,9 @@ Where each verdict comes from:
 * the structural suite runs :func:`~kmselect.bounds.structural_check` on
   the plan and basis of the pipeline the one dispatch picks;
 * the clustering and sketch suites compare Lloyd with the exhaustive
-  optimum, the two forms of the objective, and the sketch with the exact
-  singular values.
+  optimum, the package's objective (:func:`~kmselect.kmeans.objective`)
+  with the matrix form ``||a - x x.T a||_F^2``, and the sketch with the
+  exact singular values.
 
 Every trial works on one fixed instance shape; ``run_suite`` takes only a
 trial count and a seed.
@@ -35,7 +36,7 @@ import numpy as np
 from .bounds import structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, from_labels, indicator, lloyd_best, objective
-from .linalg import _valid_int, approx_svd_z, frobenius_norm, sigma_k
+from .linalg import _orth, _valid_int, approx_svd_z, frobenius_norm, sigma_k
 from .pipelines import (
     _needs_given,
     _select,
@@ -82,11 +83,6 @@ def _per_seed(trial: Callable[[int], dict]) -> Callable:
         return [trial(seed + t) for t in range(trials)], None, True
 
     return runner
-
-
-def _orthonormal_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    return q.T
 
 
 def _summarize(
@@ -170,7 +166,7 @@ def _suite_randomized_expectation(trials: int, seed: int) -> tuple:
     """Unbiasedness of the leverage-score sampler's squared Frobenius norm."""
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((10, 200))
-    v_rows = _orthonormal_rows(rng, 5, 200)
+    v_rows = _orth(rng.standard_normal((200, 5))).T
     fro2 = float(np.square(b).sum())
     total = 0.0
     for t in range(trials):
@@ -193,7 +189,7 @@ def randomized_tail_trial(seed: int, v_rows: np.ndarray) -> dict:
 
 def _suite_randomized_tail(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
-    v_rows = _orthonormal_rows(rng, 2, 200)
+    v_rows = _orth(rng.standard_normal((200, 2))).T
     return [randomized_tail_trial(seed + t, v_rows) for t in range(trials)], None, True
 
 
@@ -277,13 +273,7 @@ def objective_identity_trial(seed: int) -> dict:
     c = _random_clustering(rng, m, k)
     x = indicator(c)
     matrix_form = float(np.square(a - x @ (x.T @ a)).sum())
-    # independent centroid-sum evaluation
-    centroid_form = 0.0
-    labels = c.labels0()
-    for j in range(k):
-        pts = a[labels == j]
-        centroid_form += float(np.square(pts - pts.mean(axis=0)).sum())
-    return {"identity": abs(matrix_form - centroid_form) <= 1e-9 * max(1.0, matrix_form)}
+    return {"identity": abs(matrix_form - objective(a, c)) <= 1e-9 * max(1.0, matrix_form)}
 
 
 def _suite_approx_svd(trials: int, seed: int) -> tuple:

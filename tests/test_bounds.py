@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kmselect import linalg
 from kmselect.bounds import (
     bound_report,
     structural_check,
@@ -292,6 +293,23 @@ def test_structural_lhs_is_the_objective(rng):
         a, fs, given, out = _structural_instance(rng, m, n, 3, 6)
         rep = structural_check(a, fs.basis, given, out, fs.plan, 1.0)
         assert rep.lhs == objective(a, out)
+
+
+def test_structural_check_reads_its_matrix_three_times(rng, monkeypatch):
+    # its own rescale, the left side's objective and the residual read the
+    # extremes of an m x n array; the sampled terms gather the columns of a
+    # and e without another read
+    a, fs, given, out = _structural_instance(rng, 400, 300, 5, 40)
+    reads, read = [], linalg._scale_exponent
+
+    def counted(x):
+        if x.shape == a.shape:
+            reads.append(x.shape)
+        return read(x)
+
+    monkeypatch.setattr(linalg, "_scale_exponent", counted)
+    structural_check(a, fs.basis, given, out, fs.plan, 1.0)
+    assert len(reads) == 3
 
 
 def test_structural_check_holds_one_scratch_array(rng):

@@ -285,6 +285,8 @@ def test_select_randomized_needs_k_at_least_two(tmp_path, capsys):
     ("cluster", "--k", 2),
     ("synth", "--m", 4, "--n", 3, "--k", 2),
     ("verify", "--suite", "sampler-two-bounds", "--trials", 1),
+    # the exhaustive backend takes no seed, but cluster checks it all the same
+    ("cluster", "--k", 2, "--backend", "brute"),
 ])
 @pytest.mark.parametrize("seed", ["-1", "abc"])
 def test_invalid_seed_is_a_validation_error_on_every_command(tmp_path, capsys, command, seed):
@@ -294,7 +296,10 @@ def test_invalid_seed_is_a_validation_error_on_every_command(tmp_path, capsys, c
     assert run_cli(*command, *io, "--seed", seed) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: argument --seed: expected a non-negative integer")
+    assert captured.err == {
+        "-1": "error: seed must be at least 0, got -1\n",
+        "abc": "error: argument --seed: invalid int value: 'abc'\n",
+    }[seed]
     assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmselect import kmeans
+from kmselect import kmeans, verify
 from kmselect.errors import (
     ArgumentError,
     ContractViolationError,
@@ -123,6 +123,15 @@ def test_objective_matrix_form_agrees(rng):
         x = indicator(c)
         matrix_form = float(np.square(a - x @ (x.T @ a)).sum())
         assert objective(a, c) == pytest.approx(matrix_form, rel=1e-9, abs=1e-12)
+
+
+def test_objective_identity_suite_checks_the_package_objective(monkeypatch):
+    # the suite compares the matrix form with objective itself: a cost
+    # kernel off by one part in a million fails its trial
+    assert verify.objective_identity_trial(0) == {"identity": True}
+    real = kmeans._cost
+    monkeypatch.setattr(kmeans, "_cost", lambda *args: real(*args) * (1 + 1e-6))
+    assert verify.objective_identity_trial(0) == {"identity": False}
 
 
 def test_cost_kernels_take_one_labelling_with_the_bits_of_a_stack_of_one(rng):
@@ -495,6 +504,26 @@ def test_lloyd_best_restarts_are_the_per_restart_runs_bit_for_bit(monkeypatch):
         assert np.array_equal(kmeanspp_init(a, k, seed), want_seeds)
     # restarts crossed chunk boundaries with several restarts in a chunk
     assert stacked["default"] >= 1 and stacked["small"] >= 100, stacked
+
+
+def test_lloyd_stops_on_an_unchanged_cost_when_the_tolerance_underflows(monkeypatch):
+    # at 2**600 the rescaled tolerance is 0, so no decrease falls below it;
+    # a run still stops at its first repeated labelling, whose cost is the
+    # cost of the step before, bit for bit
+    steps = []
+    real = kmeans._centroids
+
+    def counted(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kmeans, "_centroids", counted)
+    a = np.random.default_rng(25).standard_normal((40, 3)) + np.repeat(np.eye(3) * 8, [14, 13, 13], 0)
+    want = lloyd(a, 3, 0).assignment
+    for scale in (1.0, 2.0**600):
+        steps.clear()
+        assert lloyd(a * scale, 3, 0).assignment == want
+        assert 2 <= len(steps) < 10, (scale, len(steps))
 
 
 def test_stacked_squared_distances_add_in_the_order_of_the_points_layout():
