@@ -107,16 +107,13 @@ class Clustering:
         }
 
 
-def from_labels(labels, num_clusters: int | None = None) -> Clustering:
-    """Build a Clustering from an iterable of 1-based integer labels.
+def from_labels(labels, num_clusters: int) -> Clustering:
+    """Build a Clustering of *num_clusters* clusters from 1-based integer labels.
 
     Labels and *num_clusters* follow the one integer rule: a float or a
-    string raises :class:`ArgumentError`, never a truncation.  Without
-    *num_clusters*, the largest label is the cluster count.
+    string raises :class:`ArgumentError`, never a truncation.
     """
     labels = tuple(labels)
-    if num_clusters is None:
-        num_clusters = max((_valid_int(x, "label") for x in labels), default=0)
     return Clustering(len(labels), num_clusters, labels)
 
 

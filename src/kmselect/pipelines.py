@@ -58,11 +58,8 @@ class FeatureSelection:
     """Result of one pipeline run.
 
     ``reduced`` is exactly ``apply_plan(a, plan)``, repeated picks
-    included, also where :func:`select_then_cluster` runs Lloyd on the
-    distinct columns alone.  A pipeline gathers it without reading *a*'s
-    extremes again: its first public call, :func:`~kmselect.linalg.svd_top_k`
-    or :func:`~kmselect.linalg.approx_svd_z`, has checked that *a* is
-    finite.  ``seed`` is None for the deterministic methods
+    included, also where :func:`select_then_cluster` clusters the
+    distinct columns alone.  ``seed`` is None for the deterministic methods
     and ``stage1_size`` is the width of the first sampling stage
     (randomized method only).  ``basis`` is the orthonormal
     n x k matrix the selection was built around (exact or sketched right
@@ -88,6 +85,16 @@ class FeatureSelection:
             "stage1_size": self.stage1_size,
             "plan": self.plan.to_dict(),
         }
+
+
+def _selection(a: np.ndarray, plan: SamplingPlan, method: str, k: int, r: int,
+               basis: np.ndarray, seed: int | None = None,
+               stage1_size: int | None = None) -> FeatureSelection:
+    # the one builder of a pipeline's result.  It gathers ``reduced``
+    # without reading *a*'s extremes again: each pipeline's first public
+    # call, svd_top_k or approx_svd_z, has checked that *a* is finite
+    return FeatureSelection(plan=plan, reduced=_gather(a, *_columns(plan)), method=method,
+                            k=k, r=r, seed=seed, stage1_size=stage1_size, basis=basis)
 
 
 def _stacked_residual(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
@@ -121,10 +128,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
         )
     top = svd_top_k(a, k)
     plan = deterministic_sampling_one(top.v.T, _stacked_residual(a, top.v, given), r)
-    return FeatureSelection(
-        plan=plan, reduced=_gather(a, *_columns(plan)), method="supervised", k=k, r=r,
-        basis=top.v,
-    )
+    return _selection(a, plan, method="supervised", k=k, r=r, basis=top.v)
 
 
 def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
@@ -141,10 +145,7 @@ def unsupervised_select(a, k: int, r: int) -> FeatureSelection:
     _window(k, r, n)
     top = svd_top_k(a, k)
     plan = deterministic_sampling_two(top.v.T, _identity(n), r)
-    return FeatureSelection(
-        plan=plan, reduced=_gather(a, *_columns(plan)), method="unsupervised", k=k, r=r,
-        basis=top.v,
-    )
+    return _selection(a, plan, method="unsupervised", k=k, r=r, basis=top.v)
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -205,16 +206,8 @@ def randomized_select(a, k: int, r: int, seed: int) -> FeatureSelection:
                 f"first-stage sample lost rank k={k} in {1 + STAGE1_RETRIES} attempts"
             )
         plan = _compose(stage1, deterministic_sampling_two(narrowed.v.T, _identity(c), r))
-    return FeatureSelection(
-        plan=plan,
-        reduced=_gather(a, *_columns(plan)),
-        method="randomized",
-        k=k,
-        r=r,
-        seed=seed,
-        stage1_size=c,
-        basis=z,
-    )
+    return _selection(a, plan, method="randomized", k=k, r=r, basis=z, seed=seed,
+                      stage1_size=c)
 
 
 METHODS = ("supervised", "unsupervised", "randomized")
@@ -267,12 +260,11 @@ def select_then_cluster(
     Lloyd backend certifies no factor, so no bound verdict is emitted for
     it.  Every argument is checked before any selection work.
 
-    The Lloyd backend clusters the selection's distinct columns: the picks
-    of each source column become one column, weighted by the root-sum-square
+    Both backends cluster the selection's distinct columns: the picks of
+    each source column become one column, weighted by the root-sum-square
     of their weights.  That matrix gives every pair of rows the squared
     distance the reduced matrix gives them, up to rounding, so a clustering
-    costs the same on both.  The exhaustive backend clusters ``reduced``
-    itself.  The selection's ``reduced`` and the report's
+    costs the same on both.  The selection's ``reduced`` and the report's
     ``objective_reduced`` are unchanged: the cost is taken on ``reduced``.
     """
     a = _as_2d(a)
@@ -291,10 +283,7 @@ def select_then_cluster(
         _require_covers(given, m)
     k, r = _valid_int(k, "k"), _valid_int(r, "r")
     fs = _select(a, k, r, method, seed, given)
-    # Lloyd runs on the distinct picks; the exhaustive search scores through
-    # the m x m Gram matrix, which the merge would not shrink
-    points = fs.reduced if backend == "brute" else _merged(a, fs.plan)
-    out, gamma = _cluster(points, k, backend, restarts, seed)
+    out, gamma = _cluster(_merged(a, fs.plan), k, backend, restarts, seed)
     obj_reduced = objective(fs.reduced, out)
     obj_original = objective(a, out)
     report = {

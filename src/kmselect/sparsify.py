@@ -27,8 +27,8 @@ A plan keeps 1-based indices and weights in tuples; the kernels work on
 0-based index arrays.  ``_plan`` is the one conversion into a plan, from
 0-based picks and their weights, and ``_columns`` the one conversion back,
 to a 0-based index array and a weight array.  ``_merged`` applies a plan
-with its repeated picks merged into one column each, the matrix the
-Lloyd backend clusters.
+with its repeated picks merged into one column each, the matrix both
+clustering backends cluster.
 """
 
 from __future__ import annotations
@@ -86,15 +86,6 @@ class SamplingPlan:
             "indices": [int(i) for i in self.indices],
             "weights": [float(w) for w in self.weights],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplingPlan":
-        return cls(
-            source_dim=d["source_dim"],
-            target_dim=d["target_dim"],
-            indices=tuple(d["indices"]),
-            weights=tuple(d["weights"]),
-        )
 
 
 def _plan(source_dim: int, picked, weights) -> SamplingPlan:
@@ -254,13 +245,25 @@ def _check_upper_barrier(lam_max: float, barrier: float, tau: int) -> None:
         )
 
 
+def _greedy_basis(v_rows, r: int) -> tuple[np.ndarray, int, int]:
+    # the argument checks both greedy samplers open with: *v_rows* as a
+    # finite k x n matrix and the k < r window, before the second set is
+    # read; their orthonormality test comes last, in _dual_set_loop
+    v_rows = _as_2d(v_rows)
+    k, n = v_rows.shape
+    _window(k, _valid_int(r, "r"))
+    return as_matrix(v_rows), k, n
+
+
 def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> SamplingPlan:
     """Run r greedy steps and return the plan of the columns they pick.
 
-    The second set's accumulator is ``Q diag(w) Q.T``, where ``w[i]`` sums
+    *v_rows* must have orthonormal rows, else :class:`ArgumentError`.  The
+    second set's accumulator is ``Q diag(w) Q.T``, where ``w[i]`` sums
     the steps ``t`` taken on column ``i``; ``upper(tau, w)`` scores every
     column on the upper side from those weights.
     """
+    _require_orthonormal_rows(v_rows, "v_rows")
     k, n = v_rows.shape
     sqrt_rk = math.sqrt(r * k)
     accum = np.zeros((k, k))
@@ -325,15 +328,13 @@ def _is_identity(q: np.ndarray, n: int) -> bool:
 
 
 def _column_sq_norms(c: np.ndarray, e: int) -> np.ndarray:
-    # np.square(c * 2**-e).sum(axis=0), bit for bit, in O(n) scratch.  numpy
-    # adds the rows of a C-ordered matrix of two or more columns one after
-    # another, so blocks of rows are scaled and squared in a buffer whose
-    # first row carries the running sum.  It sums a single column, or the
-    # columns of other layouts, pairwise: those take the whole-matrix
-    # expression.
+    # the column sums of np.square(c * 2**-e) in O(n) scratch, whatever the
+    # layout of c: blocks of rows are scaled and squared into a C-ordered
+    # buffer whose first row carries the running sum, so every layout gives
+    # the bits of a C-ordered copy.  numpy adds the rows of a C-ordered
+    # matrix of two or more columns one after another, so for such a c
+    # these are the bits of np.square(c * 2**-e).sum(axis=0)
     m, n = c.shape
-    if n == 1 or not c.flags.c_contiguous:
-        return np.square(np.ldexp(c, -e) if e else c).sum(axis=0)
     buf = np.zeros((_CHARGE_ROWS + 1, n))
     for start in range(0, m, _CHARGE_ROWS):
         block = c[start:start + _CHARGE_ROWS]
@@ -354,23 +355,19 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
 
     where "applied" means gathering and rescaling columns with the plan.
     Only the squared column norms of *b* reach the sampler; they are summed
-    over blocks of rows, so a C-ordered *b* costs O(n) scratch at any
+    over blocks of rows, so *b* costs O(n) scratch in any layout and at any
     scale.  The output is a pure function of the inputs.
     """
-    v_rows = _as_2d(v_rows)
-    k, n = v_rows.shape
-    _window(k, _valid_int(r, "r"))
-    as_matrix(v_rows)
+    v_rows, k, n = _greedy_basis(v_rows, r)
     b = _as_2d(b)
-    # the charges are ratios of squares: the one scaling rule, which also
-    # checks that b is finite, keeps them finite at any scale, and exact
-    # wherever the squares stay normal
-    col_sq = _column_sq_norms(b, _scale_exponent(b))
     if b.shape[1] != n:
         raise ArgumentError(
             f"second set has {b.shape[1]} columns, expected {n}"
         )
-    _require_orthonormal_rows(v_rows, "v_rows")
+    # the charges are ratios of squares: the one scaling rule, which also
+    # checks that b is finite, keeps them finite at any scale, and exact
+    # wherever the squares stay normal
+    col_sq = _column_sq_norms(b, _scale_exponent(b))
     fro2 = float(col_sq.sum())
     # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
     charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq
@@ -395,15 +392,11 @@ def deterministic_sampling_two(v_rows, q, r: int) -> SamplingPlan:
     the loop's column weights, so the candidate scan runs in O(n) per
     iteration.  The output is a pure function of the inputs.
     """
-    v_rows = _as_2d(v_rows)
-    k, n = v_rows.shape
-    _window(k, _valid_int(r, "r"))
-    as_matrix(v_rows)
+    v_rows, k, n = _greedy_basis(v_rows, r)
     q = np.asarray(q, dtype=float)
     if not _is_identity(q, n):
         as_matrix(q)
         raise ArgumentError("q must be the n x n identity")
-    _require_orthonormal_rows(v_rows, "v_rows")
     return _dual_set_loop(v_rows, r, _identity_upper(n, k, r))
 
 

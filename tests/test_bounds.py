@@ -282,8 +282,8 @@ def _structural_instance(rng, m, n, k, r):
     a = rng.standard_normal((m, n))
     fs = unsupervised_select(a, k, r)
     labels = np.arange(m) % k + 1
-    given = from_labels(labels)
-    out = from_labels(rng.permutation(labels))
+    given = from_labels(labels, k)
+    out = from_labels(rng.permutation(labels), k)
     return a, fs, given, out
 
 
@@ -314,7 +314,7 @@ def test_structural_check_reads_its_matrix_three_times(rng, monkeypatch):
 
 def test_structural_check_holds_one_scratch_array(rng):
     # one m x n array at a time beyond the input: the residual, or a cost's
-    # scratch, plus finiteness masks and r-column samples
+    # scratch, plus r-column samples
     a, fs, given, out = _structural_instance(rng, 400, 300, 5, 40)
     tracemalloc.start()
     try:

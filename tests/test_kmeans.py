@@ -28,7 +28,6 @@ from kmselect.kmeans import (
     _sq_dists,
     _weighted_draw,
     brute_force_optimal,
-    from_labels,
     indicator,
     kmeanspp_init,
     lloyd,
@@ -64,11 +63,6 @@ def test_clustering_rejects_out_of_range_label():
 def test_clustering_rejects_wrong_length():
     with pytest.raises(ArgumentError):
         Clustering(3, 2, (1, 2))
-
-
-def test_from_labels_infers_k():
-    c = from_labels([1, 2, 1, 3])
-    assert c.num_clusters == 3
 
 
 def test_indicator_direct_construction():

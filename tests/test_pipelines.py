@@ -49,8 +49,8 @@ def test_stacked_residual_is_the_two_residuals_bit_for_bit(rng):
 
 
 def test_supervised_select_holds_one_stacked_residual(rng):
-    # the 2m x n stacked residual (2x the input) plus O(n) scratch and the
-    # sampler's finiteness mask; four m x n copies at once would be 6x
+    # the 2m x n stacked residual (2x the input) plus O(n) scratch for the
+    # sampler's charges; four m x n copies at once would be 6x
     a = rng.standard_normal((400, 300))
     given = lloyd_best(a, 5, restarts=1, seed=0)
     tracemalloc.start()
@@ -404,6 +404,33 @@ def test_lloyd_report_clusters_the_distinct_picks_as_lloyd_clusters_reduced(meth
         assert report["objective_reduced"] == objective(fs.reduced, expected)
         assert report["clustering"]["objective"] == report["objective_reduced"]
     assert len(widths) == 4
+
+
+@pytest.mark.parametrize("method", ["supervised", "unsupervised", "randomized"])
+def test_brute_report_clusters_the_distinct_picks_as_the_search_on_reduced(method, monkeypatch):
+    # the exhaustive search gets the merged picks, as Lloyd does, and finds
+    # the optimum of reduced; the reference optimum is still taken on a
+    rng = np.random.default_rng(5)
+    m, n, k, r = 10, 40, 2, 8
+    centres = np.zeros((k, n))
+    centres[np.arange(k), np.arange(k)] = 8.0
+    a = centres[np.arange(m) % k] + rng.standard_normal((m, n))
+    given = Clustering(m, k, tuple(np.arange(m) % k + 1)) if method == "supervised" else None
+    widths = []
+
+    def spy(points, *args):
+        widths.append(points.shape[1])
+        return brute_force_optimal(points, *args)
+
+    monkeypatch.setattr(pipelines, "brute_force_optimal", spy)
+    report = select_then_cluster(a, k, r, method, "brute", seed=0, given=given)
+    fs = pipelines._select(a, k, r, method, 0, given)
+    assert report["selection"] == fs.to_dict()
+    assert widths[0] == len(set(fs.plan.indices)) < r
+    assert widths[1:] == ([] if method == "supervised" else [n])
+    expected = brute_force_optimal(fs.reduced, k)
+    assert report["clustering"]["assignment"] == list(expected.assignment)
+    assert report["objective_reduced"] == objective(fs.reduced, expected)
 
 
 @pytest.mark.parametrize("backend", ["lloyd", "brute"])

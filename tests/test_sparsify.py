@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -37,11 +38,16 @@ def test_plan_validation():
         SamplingPlan(3, 2, (1, 2), (1.0, 0.0))  # non-positive weight
 
 
+def _tupled(plan):
+    # a plan built from JSON holds lists; equality compares its tuples
+    return dataclasses.replace(plan, indices=tuple(plan.indices), weights=tuple(plan.weights))
+
+
 def test_plan_json_round_trip():
     plan = SamplingPlan(5, 3, (2, 2, 5), (0.5, 1.5, 2.0))
     text = json.dumps(plan.to_dict())
-    again = SamplingPlan.from_dict(json.loads(text))
-    assert again == plan
+    again = SamplingPlan(**json.loads(text))
+    assert _tupled(again) == plan
     assert json.loads(text) == {
         "source_dim": 5,
         "target_dim": 3,
@@ -89,14 +95,14 @@ def test_plan_refuses_non_integer_positions_and_infinite_weights(args, match):
     ('{"source_dim": 4, "target_dim": 1, "indices": [2], "weights": [true]}',
      "finite and positive"),
 ], ids=["float-index", "float-dim", "str-dim", "infinite-weight", "str-weight", "bool-weight"])
-def test_plan_from_dict_refuses_rather_than_truncates(text, match):
+def test_plan_from_json_refuses_rather_than_truncates(text, match):
     with pytest.raises(ArgumentError, match=match):
-        SamplingPlan.from_dict(json.loads(text))
+        SamplingPlan(**json.loads(text))
 
 
 def test_plan_takes_numpy_integers_and_floats():
     plan = SamplingPlan(np.int64(4), np.int32(2), (np.int64(4), 1), (np.float64(0.5), 2))
-    assert SamplingPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+    assert _tupled(SamplingPlan(**json.loads(json.dumps(plan.to_dict())))) == plan
     np.testing.assert_array_equal(
         apply_plan(np.arange(8.0).reshape(2, 4), plan), [[1.5, 0.0], [3.5, 8.0]]
     )
@@ -479,20 +485,25 @@ def test_sampler_two_identity_fast_path_matches_dense(rng):
 )
 def test_streamed_charges_equal_the_whole_matrix_sum_bit_for_bit(rng, shape):
     # the sampler-one charges are scaled and summed over blocks of rows;
-    # every layout, at every scale, must give the bits of the squares of
-    # the whole rescaled matrix
-    b = rng.standard_normal(shape) * np.logspace(-6, 6, shape[1])
+    # every layout, at every scale, must give the bits of its C-ordered
+    # copy, and those are the bits of the squares of the whole rescaled
+    # matrix when it has two or more columns
     for scale in (1.0, 1e200, 1e-200):
-        for c in (b, np.asfortranarray(b), np.vstack([b, b])[::2], np.hstack([b, b])[:, ::2]):
-            c = c * scale
-            expected = np.square(_rescaled(c)[0]).sum(axis=0)
-            got = sparsify._column_sq_norms(c, _scale_exponent(c))
-            assert got.tobytes() == expected.tobytes()
+        b = rng.standard_normal(shape) * np.logspace(-6, 6, shape[1]) * scale
+        for c in (b, np.asfortranarray(b), np.ascontiguousarray(b.T).T,
+                  np.vstack([b, b])[::2], np.hstack([b, b])[:, ::2]):
+            ref, e = np.ascontiguousarray(c), _scale_exponent(c)
+            whole = np.square(_rescaled(ref)[0]).sum(axis=0)
+            got = sparsify._column_sq_norms(c, e)
+            assert got.tobytes() == sparsify._column_sq_norms(ref, e).tobytes()
+            if shape[1] >= 2:
+                assert got.tobytes() == whole.tobytes()
+            np.testing.assert_allclose(got, whole, rtol=1e-12)
 
 
 def test_sampler_one_charges_take_no_copy_of_the_second_set(rng):
-    # beyond the finiteness mask of as_matrix (1/8 of b), the charges need
-    # O(n) scratch: no squared copy of b
+    # beyond the k x n loop state, the charges need O(n) scratch: no
+    # squared copy of b
     n = 300
     v_rows = orthonormal_rows(rng, 4, n)
     b = rng.standard_normal((2000, n))
@@ -505,14 +516,18 @@ def test_sampler_one_charges_take_no_copy_of_the_second_set(rng):
     assert peak < 0.25 * b.nbytes
 
 
+@pytest.mark.parametrize("layout", [
+    lambda b: b, np.asfortranarray, lambda b: np.ascontiguousarray(b.T).T,
+], ids=["c-order", "fortran", "transposed"])
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-def test_sampler_one_charges_take_no_mask_or_scaled_copy_of_the_second_set(rng, scale):
-    # the charges are scaled block by block and finiteness is read off
-    # their n sums, so at every scale the scratch is one 65 x n buffer
-    # (1/30 of b) beside the k x n loop state
+def test_sampler_one_charges_take_no_mask_or_scaled_copy_of_the_second_set(rng, scale, layout):
+    # the charges are scaled block by block from row views of b, in any
+    # layout, and finiteness is read off b's extremes, so at every scale
+    # the scratch is one 65 x n buffer beside the k x n loop state: 1/30
+    # of b C-ordered, 1/22 in the other layouts, which numpy buffers
     n = 300
     v_rows = orthonormal_rows(rng, 4, n)
-    b = rng.standard_normal((2000, n)) * scale
+    b = layout(rng.standard_normal((2000, n)) * scale)
     tracemalloc.start()
     try:
         deterministic_sampling_one(v_rows, b, 30)
@@ -520,6 +535,15 @@ def test_sampler_one_charges_take_no_mask_or_scaled_copy_of_the_second_set(rng, 
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * b.nbytes
+
+
+def test_sampler_one_checks_the_second_set_width_before_its_entries(rng):
+    # an argument check comes before the matrix is read: a wrong-width b
+    # is refused for its width, not for a NaN it also holds
+    b = rng.standard_normal((20, 31))
+    b[7, 11] = np.nan
+    with pytest.raises(ArgumentError, match=r"^second set has 31 columns, expected 30$"):
+        deterministic_sampling_one(orthonormal_rows(rng, 3, 30), b, 6)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
