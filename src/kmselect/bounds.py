@@ -8,9 +8,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArgumentError
-from .kmeans import Clustering, objective
-from .linalg import _as_2d, _at_scale, _rescaled, _window, as_matrix, residual, singular_values
-from .sparsify import SamplingPlan, _columns, _gather, _require_orthonormal_rows, apply_plan
+from .kmeans import Clustering, _require_covers, objective
+from .linalg import (
+    _as_2d,
+    _at_scale,
+    _require_basis_rows,
+    _rescaled,
+    _window,
+    as_matrix,
+    residual,
+    singular_values,
+)
+from .sparsify import (
+    SamplingPlan,
+    _columns,
+    _gather,
+    _require_orthonormal_rows,
+    _require_source_dim,
+    apply_plan,
+)
 
 # Proofs are exact; floating-point evaluation is not.  A bound "holds" when
 # lhs <= rhs + COMPARISON_SLACK * max(1, rhs).
@@ -137,13 +153,20 @@ def structural_check(
     beyond the float64 range.
     """
     _check_gamma(gamma)
-    a, scale = _rescaled(_as_2d(a))
+    a = _as_2d(a)
     z = as_matrix(z)
     m, n = a.shape
     k = z.shape[1]
+    # every argument is checked before the entries of a are read, with the
+    # messages of the calls below
     _require_orthonormal_rows(z.T, "z.T")
+    _require_covers(out_clust, m)
+    _require_basis_rows(z, n)
+    _require_source_dim(plan, n)
+    _require_covers(in_clust, m)
+    a, scale = _rescaled(a)
     lhs = objective(a, out_clust)
-    e = residual(a, z)  # validates conformability
+    e = residual(a, z)
     context = {"m": m, "n": n, "k": k, "r": plan.target_dim, "gamma": float(gamma)}
     sig = singular_values(apply_plan(z.T, plan))
     applicable = bool(sig.size >= k and sig[k - 1] > 0.0)

@@ -348,14 +348,17 @@ def _minus_product(a: np.ndarray, left, right, out: np.ndarray) -> np.ndarray:
     return np.subtract(a, out, out=out)
 
 
+def _require_basis_rows(z: np.ndarray, n: int) -> None:
+    # the one rule that a projection basis has a row per column of its matrix
+    if z.shape[0] != n:
+        raise ArgumentError(f"projection basis has {z.shape[0]} rows but the matrix has {n} columns")
+
+
 def residual(a, z) -> np.ndarray:
     """Residual ``a - a @ z @ z.T`` of projecting the rows of *a* onto ``span(z)``."""
     a = as_matrix(a)
     z = as_matrix(z)
-    if z.shape[0] != a.shape[1]:
-        raise ArgumentError(
-            f"projection basis has {z.shape[0]} rows but the matrix has {a.shape[1]} columns"
-        )
+    _require_basis_rows(z, a.shape[1])
     return _minus_product(a, a @ z, z.T, np.empty(a.shape))
 
 

@@ -36,14 +36,25 @@ from .kmeans import (
     lloyd_best,
     objective,
 )
-from .linalg import _as_2d, _minus_product, _valid_int, _window, approx_svd_z, svd_top_k
+from .linalg import (
+    _as_2d,
+    _minus_product,
+    _scale_exponent,
+    _valid_int,
+    _window,
+    approx_svd_z,
+    svd_top_k,
+)
 from .sparsify import (
+    _CHARGE_ROWS,
     SamplingPlan,
+    _column_sq_norms,
     _columns,
     _gather,
     _identity,
     _merged,
     _plan,
+    _row_blocks,
     apply_plan,
     deterministic_sampling_one,
     deterministic_sampling_two,
@@ -97,15 +108,24 @@ def _selection(a: np.ndarray, plan: SamplingPlan, method: str, k: int, r: int,
                             k=k, r=r, seed=seed, stage1_size=stage1_size, basis=basis)
 
 
-def _stacked_residual(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
-    # [a - a v v.T ; a - x x.T a], x the indicator of *given*: the 2m x n
-    # second set of supervised selection, each half written in place
-    m = a.shape[0]
-    stacked = np.empty((2 * m, a.shape[1]))
-    _minus_product(a, a @ v, v.T, stacked[:m])
+def _residual_sq_norms(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
+    # the column sums of squares of [a - a v v.T ; a - x x.T a], x the
+    # indicator of *given*, at the scaling rule's exponent of its entries:
+    # the second set of supervised selection, formed _CHARGE_ROWS rows at a
+    # time in one buffer, so no m x n array is held.  A first pass reads
+    # the entries' extremes, which is also their finiteness check; a second
+    # adds the squares
     x = indicator(given)
-    _minus_product(a, x, x.T @ a, stacked[m:])
-    return stacked
+    halves = ((a @ v, v.T), (x, x.T @ a))
+    buf = np.empty((_CHARGE_ROWS, a.shape[1]))
+
+    def blocks():
+        for left, right in halves:
+            for rows, lefts in zip(_row_blocks(a), _row_blocks(left)):
+                yield _minus_product(rows, lefts, right, buf[:rows.shape[0]])
+
+    e = _scale_exponent(np.array([(block.max(), block.min()) for block in blocks()]))
+    return _column_sq_norms(blocks(), a.shape[1], e)
 
 
 def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
@@ -114,8 +134,11 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
     Stacks the low-rank residual of *a* on top of the clustering residual
     of *given* and runs the Frobenius-capped dual-set sampler against the
     top-k right singular subspace.  Identical inputs give an identical
-    plan.  Beyond the top-k solve, the call holds the 2m x n stacked
-    residual, built in place, and O(n) scratch for the sampler's charges.
+    plan.  That sampler reads the stack only through its squared column
+    norms, so they are summed over blocks of rows and handed to it as one
+    row, whose norms, and so whose guarantee, are the stack's.  Beyond the
+    top-k solve, the call holds two m x k factors, one k x n product and
+    blocks of rows: O((m + n) k) memory, and no m x n array.
     """
     a = _as_2d(a)
     m, n = a.shape
@@ -127,7 +150,8 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
             f"clustering has {given.num_clusters} clusters, expected k={k}"
         )
     top = svd_top_k(a, k)
-    plan = deterministic_sampling_one(top.v.T, _stacked_residual(a, top.v, given), r)
+    norms = np.sqrt(_residual_sq_norms(a, top.v, given))[None, :]
+    plan = deterministic_sampling_one(top.v.T, norms, r)
     return _selection(a, plan, method="supervised", k=k, r=r, basis=top.v)
 
 

@@ -19,9 +19,11 @@ column weights ``w`` and returns the plan; they differ only in the upper
 side it is handed, a static Frobenius charge or the identity's moving
 barrier.  Both sides score candidates with one closed-form barrier gain,
 ``_gains`` (Batson-Spielman-Srivastava; Boutsidis-Drineas-Magdon-Ismail,
-Lemmas 10-11).  All three return a :class:`SamplingPlan`, the compact form
-of a sampling matrix / rescaling matrix pair: applying the plan to ``a``
-realizes ``a @ omega @ s``.
+Lemmas 10-11).  Each step takes the first admissible column, so the loop
+scores the lower side in blocks of columns, in index order, and stops at
+the first block that holds one.  All three return a :class:`SamplingPlan`,
+the compact form of a sampling matrix / rescaling matrix pair: applying
+the plan to ``a`` realizes ``a @ omega @ s``.
 
 A plan keeps 1-based indices and weights in tuples; the kernels work on
 0-based index arrays.  ``_plan`` is the one conversion into a plan, from
@@ -44,6 +46,8 @@ from .linalg import _as_2d, _scale_exponent, _valid_int, _window, as_matrix
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
 _CHARGE_ROWS = 64
+# candidate columns scored on the lower side at a time
+_SCAN_COLUMNS = 256
 # Barrier crossings smaller than this (relative to the barrier magnitude)
 # are attributed to roundoff and tolerated.
 BARRIER_SLACK = 1e-9
@@ -135,6 +139,12 @@ def identity_plan(n: int) -> SamplingPlan:
     return _plan(_valid_int(n, "n", 1), range(n), (1.0,) * n)
 
 
+def _require_source_dim(plan: SamplingPlan, n: int) -> None:
+    # the one rule that a plan is drawn from its matrix's n columns
+    if plan.source_dim != n:
+        raise ArgumentError(f"plan covers {plan.source_dim} columns but the matrix has {n}")
+
+
 def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
     """Gather and rescale columns of *a* according to *plan*.
 
@@ -142,10 +152,7 @@ def apply_plan(a, plan: SamplingPlan) -> np.ndarray:
     :class:`ContractViolationError`.
     """
     a = as_matrix(a)
-    if plan.source_dim != a.shape[1]:
-        raise ArgumentError(
-            f"plan covers {plan.source_dim} columns but the matrix has {a.shape[1]}"
-        )
+    _require_source_dim(plan, a.shape[1])
     return _gather(a, *_columns(plan))
 
 
@@ -261,7 +268,14 @@ def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> SamplingPlan:
     *v_rows* must have orthonormal rows, else :class:`ArgumentError`.  The
     second set's accumulator is ``Q diag(w) Q.T``, where ``w[i]`` sums
     the steps ``t`` taken on column ``i``; ``upper(tau, w)`` scores every
-    column on the upper side from those weights.
+    column on the upper side from those weights, in O(n).
+
+    Each step takes the first admissible column, the one the barrier
+    argument needs.  The lower side, O(k^2) per column, is scored in
+    blocks of ``_SCAN_COLUMNS`` columns in index order, and the scan stops
+    at the first block that holds an admissible column; the plan is the
+    one a scan of every column picks, bit for bit.  When no block holds
+    one, the error's ``max_gap`` is the maximum over all of them.
     """
     _require_orthonormal_rows(v_rows, "v_rows")
     k, n = v_rows.shape
@@ -280,18 +294,35 @@ def _dual_set_loop(v_rows: np.ndarray, r: int, upper) -> SamplingPlan:
                 "shifted lower barrier reached the spectrum", step=tau,
                 diagnostics={"barrier": ell, "lambda_min": float(lam[0])},
             )
-        lower_vals = _gains(lam, np.square(vecs.T @ v_rows), ell, ellp, tau)
-        upper_vals = upper(tau, w)
-        admissible = (upper_vals <= lower_vals) & (upper_vals + lower_vals > 0.0)
-        hits = np.flatnonzero(admissible)
-        if hits.size == 0:
-            gap = float((lower_vals - upper_vals).max())
+        upper_vals, gaps = None, []
+        # a block is one column wide only where n = 1: numpy sums the gains
+        # of a one-column block in another order than those of a wider one
+        for start in range(0, max(n - 1, 1), _SCAN_COLUMNS):
+            stop = start + _SCAN_COLUMNS
+            if stop < n - 1:
+                g = vecs.T @ v_rows[:, start:stop]
+            else:
+                # the last block is cut from the whole product: BLAS rounds
+                # a product's last few columns in an edge kernel, so those
+                # of the block alone can differ from those of the whole
+                stop, g = n, (vecs.T @ v_rows)[:, start:]
+            lower_vals = _gains(lam, np.square(g), ell, ellp, tau)
+            if upper_vals is None:  # after the lower side's potential check
+                upper_vals = upper(tau, w)
+            up = upper_vals[start:stop]
+            hits = np.flatnonzero((up <= lower_vals) & (up + lower_vals > 0.0))
+            if hits.size:
+                break
+            gaps.append((lower_vals - up).max())
+        else:
             raise NumericalSearchError(
                 "no admissible column", step=tau,
-                diagnostics={"barrier": ell, "lambda_min": float(lam[0]), "max_gap": gap},
+                diagnostics={"barrier": ell, "lambda_min": float(lam[0]),
+                             "max_gap": float(np.max(gaps))},
             )
-        i = int(hits[0])  # smallest qualifying index, for determinism
-        t = 2.0 / (upper_vals[i] + lower_vals[i])  # midpoint of [1/L, 1/U]
+        j = int(hits[0])  # smallest qualifying index, for determinism
+        i = start + j
+        t = 2.0 / (up[j] + lower_vals[j])  # midpoint of [1/L, 1/U]
         accum += t * np.outer(v_rows[:, i], v_rows[:, i])
         w[i] += t
         picked[tau] = i
@@ -327,17 +358,21 @@ def _is_identity(q: np.ndarray, n: int) -> bool:
     return np.count_nonzero(q) == n and bool(np.all(q.diagonal() == 1.0))
 
 
-def _column_sq_norms(c: np.ndarray, e: int) -> np.ndarray:
-    # the column sums of np.square(c * 2**-e) in O(n) scratch, whatever the
-    # layout of c: blocks of rows are scaled and squared into a C-ordered
-    # buffer whose first row carries the running sum, so every layout gives
-    # the bits of a C-ordered copy.  numpy adds the rows of a C-ordered
-    # matrix of two or more columns one after another, so for such a c
-    # these are the bits of np.square(c * 2**-e).sum(axis=0)
-    m, n = c.shape
+def _row_blocks(c: np.ndarray):
+    # the rows of c in order, _CHARGE_ROWS at a time
+    return (c[start:start + _CHARGE_ROWS] for start in range(0, c.shape[0], _CHARGE_ROWS))
+
+
+def _column_sq_norms(blocks, n: int, e: int) -> np.ndarray:
+    # the column sums of np.square(c * 2**-e) in O(n) scratch, c the
+    # n-column matrix whose rows *blocks* yields in order, at most
+    # _CHARGE_ROWS at a time: each block is scaled and squared into a
+    # C-ordered buffer whose first row carries the running sum, so every
+    # layout gives the bits of a C-ordered copy.  numpy adds the rows of a
+    # C-ordered matrix of two or more columns one after another, so for
+    # _row_blocks(c) these are the bits of np.square(c * 2**-e).sum(axis=0)
     buf = np.zeros((_CHARGE_ROWS + 1, n))
-    for start in range(0, m, _CHARGE_ROWS):
-        block = c[start:start + _CHARGE_ROWS]
+    for block in blocks:
         rows = buf[1:1 + block.shape[0]]
         np.square(np.ldexp(block, -e, out=rows) if e else block, out=rows)
         buf[0] = np.add.reduce(buf[:1 + rows.shape[0]], axis=0)
@@ -367,7 +402,7 @@ def deterministic_sampling_one(v_rows, b, r: int) -> SamplingPlan:
     # the charges are ratios of squares: the one scaling rule, which also
     # checks that b is finite, keeps them finite at any scale, and exact
     # wherever the squares stay normal
-    col_sq = _column_sq_norms(b, _scale_exponent(b))
+    col_sq = _column_sq_norms(_row_blocks(b), n, _scale_exponent(b))
     fro2 = float(col_sq.sum())
     # charges ||b_i||^2 / delta_B, delta_B = ||B||_F^2 / (1 - sqrt(k/r)); zero for b = 0
     charges = col_sq * ((1.0 - math.sqrt(k / r)) / fro2) if fro2 > 0.0 else col_sq

@@ -36,11 +36,10 @@ import numpy as np
 from .bounds import structural_check
 from .errors import ArgumentError
 from .kmeans import Clustering, brute_force_optimal, from_labels, indicator, lloyd_best, objective
-from .linalg import _orth, _valid_int, approx_svd_z, frobenius_norm, sigma_k
+from .linalg import _orth, _valid_int, approx_svd_z, frobenius_norm, residual, sigma_k
 from .pipelines import (
     _needs_given,
     _select,
-    _stacked_residual,
     select_then_cluster,
     supervised_select,
     unsupervised_select,
@@ -128,8 +127,11 @@ def sampler_one_trial(seed: int) -> dict:
     given = lloyd_best(a, k, restarts=2, seed=seed)
     fs = supervised_select(a, given, k, r)
     plan = fs.plan
-    b = _stacked_residual(a, fs.basis, given)  # the second set that plan sampled
-    low_rank_residual, cluster_residual = b[:m], b[m:]
+    # the second set that plan sampled, here whole: the pipeline sums its
+    # column norms over blocks of rows
+    x = indicator(given)
+    low_rank_residual, cluster_residual = residual(a, fs.basis), a - x @ (x.T @ a)
+    b = np.vstack([low_rank_residual, cluster_residual])
     sig = sigma_k(apply_plan(fs.basis.T, plan), k)
     fro_in = frobenius_norm(b)
     fro_out = frobenius_norm(apply_plan(b, plan))

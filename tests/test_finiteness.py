@@ -97,7 +97,8 @@ def test_every_call_in_the_table_runs_on_unspoiled_input(name):
     CALLS[name](None)
 
 
-# each entry pairs a non-finite matrix with one invalid argument
+# each entry pairs a non-finite matrix with one invalid argument, and must
+# raise the ArgumentError it raises on a finite one
 BAD_ARGUMENT = {
     "svd_top_k": lambda a: linalg.svd_top_k(a, 0),
     "approx_svd_z": lambda a: linalg.approx_svd_z(a, 1, 0),
@@ -110,14 +111,27 @@ BAD_ARGUMENT = {
     "unsupervised_select": lambda a: pipelines.unsupervised_select(a, K, K),
     "randomized_select": lambda a: pipelines.randomized_select(a, K, K, 0),
     "select_then_cluster": lambda a: pipelines.select_then_cluster(a, K, R, "bogus", "lloyd"),
+    "structural_check.z": lambda a: bounds.structural_check(
+        a, np.ones((N, K)), GIVEN, GIVEN, PLAN, 1.0),
+    "structural_check.z_rows": lambda a: bounds.structural_check(
+        a, np.linalg.qr(Z[1:])[0], GIVEN, GIVEN, PLAN, 1.0),
+    "structural_check.plan": lambda a: bounds.structural_check(
+        a, Z, GIVEN, GIVEN, SamplingPlan(N + 1, 1, (1,), (1.0,)), 1.0),
+    "structural_check.in_clust": lambda a: bounds.structural_check(
+        a, Z, from_labels(np.arange(M + 1) % K + 1, K), GIVEN, PLAN, 1.0),
+    "structural_check.out_clust": lambda a: bounds.structural_check(
+        a, Z, GIVEN, from_labels(np.arange(M - 1) % K + 1, K), PLAN, 1.0),
 }
 
 
 @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("name", sorted(BAD_ARGUMENT))
 def test_argument_checks_run_before_the_entries_are_read(name, bad):
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError) as finite:
+        BAD_ARGUMENT[name](A)
+    with pytest.raises(ArgumentError) as err:
         BAD_ARGUMENT[name](spoiled(A, bad))
+    assert str(err.value) == str(finite.value)
 
 
 def test_as_matrix_builds_no_mask_of_its_input(rng):

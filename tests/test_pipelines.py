@@ -39,42 +39,46 @@ def zero_error_dataset(rng, k=2, copies=4, n=6):
 # ---------------------------------------------------------------------------
 
 
-def test_stacked_residual_is_the_two_residuals_bit_for_bit(rng):
-    a = rng.standard_normal((40, 25))
+def test_streamed_residual_norms_are_those_of_the_stacked_residuals(rng):
+    # m = 200 rows: four blocks per half, the last one partial
+    a = rng.standard_normal((200, 25))
     given = lloyd_best(a, 3, restarts=2, seed=0)
     v = svd_top_k(a, 3).v
     x = indicator(given)
-    expected = np.vstack([residual(a, v), a - x @ (x.T @ a)])
-    np.testing.assert_array_equal(pipelines._stacked_residual(a, v, given), expected)
+    stacked = np.vstack([residual(a, v), a - x @ (x.T @ a)])
+    np.testing.assert_allclose(pipelines._residual_sq_norms(a, v, given),
+                               np.square(stacked).sum(axis=0), rtol=1e-14, atol=0.0)
 
 
-def test_supervised_select_holds_one_stacked_residual(rng):
-    # the 2m x n stacked residual (2x the input) plus O(n) scratch for the
-    # sampler's charges; four m x n copies at once would be 6x
-    a = rng.standard_normal((400, 300))
-    given = lloyd_best(a, 5, restarts=1, seed=0)
+def _peak(call):
     tracemalloc.start()
     try:
-        supervised_select(a, given, 5, 40)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * a.nbytes
+
+
+def test_supervised_charges_hold_no_m_by_n_array(rng):
+    # two m x k factors, one k x n product and two blocks of rows
+    m, n, k = 4000, 200, 5
+    a = rng.standard_normal((m, n))
+    given = lloyd_best(a, k, restarts=1, seed=0)
+    v = svd_top_k(a, k).v
+    peak = _peak(lambda: pipelines._residual_sq_norms(a, v, given))
+    assert peak <= 8 * (2 * m * k + k * n + 2 * (sparsify._CHARGE_ROWS + 1) * n) + 65536
+    assert peak < 0.1 * a.nbytes
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-def test_supervised_select_peak_is_the_same_at_every_scale(rng, scale):
-    # out of the scaling window neither the top-k solve nor the sampler
-    # holds a scaled copy beside the stacked residual
-    a = rng.standard_normal((400, 300)) * scale
+def test_supervised_select_peak_is_the_unsupervised_peak_at_every_scale(rng, scale):
+    # the top-k solve sets both peaks: the supervised charges are summed
+    # over blocks of rows, with no stacked residual or scaled copy
+    a = rng.standard_normal((4000, 200)) * scale
     given = lloyd_best(a, 5, restarts=1, seed=0)
-    tracemalloc.start()
-    try:
-        supervised_select(a, given, 5, 40)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * a.nbytes
+    supervised = _peak(lambda: supervised_select(a, given, 5, 40))
+    unsupervised = _peak(lambda: unsupervised_select(a, 5, 40))
+    assert supervised <= unsupervised + 0.05 * a.nbytes
 
 
 def test_supervised_bound_with_exhaustive_backend(rng):

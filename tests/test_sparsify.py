@@ -351,6 +351,76 @@ def test_no_admissible_column_reports_diagnostics(rng):
     assert diagnostics["max_gap"] < 0.0
 
 
+def _full_scan_loop(v_rows, r, upper):
+    # the reference loop: every column scored on both sides at every step,
+    # then the first admissible one taken
+    sparsify._require_orthonormal_rows(v_rows, "v_rows")
+    k, n = v_rows.shape
+    sqrt_rk = math.sqrt(r * k)
+    accum = np.zeros((k, k))
+    w = np.zeros(n)
+    picked, t_vals = [], []
+    for tau in range(r):
+        ell = tau - sqrt_rk
+        lam, vecs = np.linalg.eigh(accum)
+        sparsify._check_lower_barrier(float(lam[0]), ell, tau)
+        if lam[0] <= ell + 1.0:
+            raise NumericalSearchError("shifted lower barrier reached the spectrum", step=tau,
+                                       diagnostics={"barrier": ell, "lambda_min": float(lam[0])})
+        lower_vals = sparsify._gains(lam, np.square(vecs.T @ v_rows), ell, ell + 1.0, tau)
+        upper_vals = upper(tau, w)
+        hits = np.flatnonzero((upper_vals <= lower_vals) & (upper_vals + lower_vals > 0.0))
+        if hits.size == 0:
+            raise NumericalSearchError("no admissible column", step=tau, diagnostics={
+                "barrier": ell, "lambda_min": float(lam[0]),
+                "max_gap": float((lower_vals - upper_vals).max())})
+        i = int(hits[0])
+        t = 2.0 / (upper_vals[i] + lower_vals[i])
+        accum += t * np.outer(v_rows[:, i], v_rows[:, i])
+        w[i] += t
+        picked.append(i)
+        t_vals.append(t)
+    return sparsify._plan(n, picked, np.sqrt(np.array(t_vals) * ((1.0 - math.sqrt(k / r)) / r)))
+
+
+def _frobenius_upper(rng, n, k, r, heavy):
+    # static charges summing to 1 - sqrt(k/r), with the first *heavy*
+    # columns charged 1e300, beyond every lower score
+    charges = rng.random(n)
+    charges *= (1.0 - math.sqrt(k / r)) / charges.sum()
+    charges[:heavy] = 1e300
+    return lambda tau, w: charges
+
+
+def _outcome(loop, v_rows, r, upper):
+    # the plan, or the step, message and diagnostics of the search's error
+    try:
+        return loop(v_rows, r, upper)
+    except NumericalSearchError as err:
+        return err.step, str(err), err.diagnostics
+
+
+@pytest.mark.parametrize("k, n, r, side, heavy, picks_from", [
+    (3, 600, 24, "identity", 0, 2),
+    (3, 600, 24, "frobenius", 300, 301),  # the first pick falls in the second block
+    (3, 600, 24, "frobenius", 600, None),  # no block has an admissible column
+    # the scan reaches the last block's last few columns, which BLAS rounds
+    # in an edge kernel within the whole product at this size
+    (40, 700, 60, "frobenius", 697, None),
+])
+def test_first_hit_scan_gives_the_full_scan_outcome_bit_for_bit(k, n, r, side, heavy, picks_from):
+    rng = np.random.default_rng(n + heavy)
+    v_rows = orthonormal_rows(rng, k, n)
+    upper = (sparsify._identity_upper(n, k, r) if side == "identity"
+             else _frobenius_upper(rng, n, k, r, heavy))
+    got = _outcome(sparsify._dual_set_loop, v_rows, r, upper)
+    assert got == _outcome(_full_scan_loop, v_rows, r, upper)
+    if picks_from is None:
+        assert got[1] == "no admissible column"
+    else:
+        assert got.indices[0] == picks_from
+
+
 # ---------------------------------------------------------------------------
 # deterministic sampler, Frobenius cap
 # ---------------------------------------------------------------------------
@@ -494,8 +564,8 @@ def test_streamed_charges_equal_the_whole_matrix_sum_bit_for_bit(rng, shape):
                   np.vstack([b, b])[::2], np.hstack([b, b])[:, ::2]):
             ref, e = np.ascontiguousarray(c), _scale_exponent(c)
             whole = np.square(_rescaled(ref)[0]).sum(axis=0)
-            got = sparsify._column_sq_norms(c, e)
-            assert got.tobytes() == sparsify._column_sq_norms(ref, e).tobytes()
+            got = sparsify._column_sq_norms(sparsify._row_blocks(c), shape[1], e)
+            assert got.tobytes() == sparsify._column_sq_norms(sparsify._row_blocks(ref), shape[1], e).tobytes()
             if shape[1] >= 2:
                 assert got.tobytes() == whole.tobytes()
             np.testing.assert_allclose(got, whole, rtol=1e-12)
