@@ -76,11 +76,17 @@ class SamplingPlan:
         _valid_int(self.target_dim, "target_dim", 1)
         if len(self.indices) != self.target_dim or len(self.weights) != self.target_dim:
             raise ArgumentError("indices and weights must both have target_dim entries")
-        for i in self.indices:
-            _valid_int(i, "plan index", 1, self.source_dim)
-        # bool subclasses int, so it is refused by name
-        if any(isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating))
-               or not 0.0 < w < math.inf for w in self.weights):
+        # one pass over the picks' types and their extremes; only a plan that
+        # fails it is checked pick by pick, for the first bad pick's message
+        if not (all(t is not bool and issubclass(t, (int, np.integer))
+                    for t in set(map(type, self.indices)))
+                and 1 <= min(self.indices) and max(self.indices) <= self.source_dim):
+            for i in self.indices:
+                _valid_int(i, "plan index", 1, self.source_dim)
+        # bool subclasses int, so it is refused by name; NaN fails the range
+        if not (all(t is not bool and issubclass(t, (int, float, np.integer, np.floating))
+                    for t in set(map(type, self.weights)))
+                and all(0.0 < w < math.inf for w in self.weights)):
             raise ArgumentError("plan weights must be finite and positive")
 
     def to_dict(self) -> dict:
@@ -95,8 +101,8 @@ class SamplingPlan:
 def _plan(source_dim: int, picked, weights) -> SamplingPlan:
     # the plan that takes the 0-based columns *picked* of a source_dim-column
     # matrix with *weights*: the one conversion into a plan's 1-based tuples
-    return SamplingPlan(source_dim, len(picked), tuple(int(i) + 1 for i in picked),
-                        tuple(float(w) for w in weights))
+    return SamplingPlan(source_dim, len(picked), tuple((np.asarray(picked) + 1).tolist()),
+                        tuple(np.asarray(weights, dtype=float).tolist()))
 
 
 def _columns(plan: SamplingPlan) -> tuple[np.ndarray, np.ndarray]:

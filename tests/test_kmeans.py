@@ -166,6 +166,49 @@ def test_objective_is_invariant_to_power_of_two_scaling(rng):
         assert objective(np.ldexp(a, j), c) == np.ldexp(ref, 2 * j)
 
 
+@pytest.mark.parametrize("m", [2000, 1999])
+def test_objective_over_row_blocks_matches_the_matrix_form(m):
+    # 131 rows of 500 columns to a block, so m = 1999 ends in a short one
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, 500)) + 3.0 * (np.arange(m) % 7)[:, None]
+    c = Clustering(m, 7, tuple(np.arange(m) % 7 + 1))
+    x = indicator(c)
+    ref = np.square(a - x @ (x.T @ a)).sum()
+    assert objective(a, c) == pytest.approx(ref, rel=1e-13)
+    assert objective(np.asfortranarray(a), c) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-300, 2.0**300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_objective_of_one_block_keeps_the_whole_matrix_bits(rng, scale, order):
+    a = np.asarray(rng.standard_normal((40, 30)) * scale, order=order)
+    c = random_clustering(rng, 40, 4)
+    labels = c.labels0()
+    b, e = _rescaled(a)
+    centroids = kmeans._centroids(b, labels, np.bincount(labels, minlength=4))
+    assert objective(a, c) == np.ldexp(float(kmeans._cost(b, centroids, labels)), 2 * e)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_objective_holds_no_full_size_temporary(rng, scale):
+    # blocks of rows, each scaled into one buffer away from scale 1; at
+    # 1e200 the cost itself exceeds the float64 range, after the sums
+    a = rng.standard_normal((4000, 500)) * scale
+    c = Clustering(4000, 10, tuple(np.arange(4000) % 10 + 1))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        if scale > 1.0:
+            with pytest.raises(ContractViolationError, match="float64 range"):
+                objective(a, c)
+        else:
+            objective(a, c)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * a.nbytes
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=4), st.integers(0, 2**31))
 def test_objective_nonnegative_property(m, k, seed):

@@ -339,6 +339,32 @@ def test_iterative_route_makes_the_dense_rank_decision(rank, monkeypatch):
     assert decision == (rank >= 10)
 
 
+@pytest.mark.parametrize("m, n, k", [(2000, 500, 10), (300, 6000, 5)])
+def test_iterative_route_certifies_the_benchmark_shapes(m, n, k, monkeypatch):
+    # a budget of 2p / (k + 10) products reaches the certificate on the
+    # planted shapes of the clustering and wide selection runs, where the
+    # dense eigh of the p x p Gram matrix would cost more
+    a = _planted(np.random.default_rng(m), m, n, k, 10.0)
+    certified = _spy_top_eigh(monkeypatch)
+    top = svd_top_k(a, k)
+    assert certified == [True]
+    s = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(top.s, s[:k], rtol=1e-12)
+
+
+def test_certified_route_holds_no_dense_eigenvectors():
+    # the dense route returns all p x p eigenvectors on top of the Gram
+    # matrix; the certified one holds a p x (k + 10) block
+    a = _planted(np.random.default_rng(7), 2000, 500, 10, 10.0)
+    tracemalloc.start()
+    try:
+        svd_top_k(a, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 500 * 500 * 8
+
+
 # ---------------------------------------------------------------------------
 # sym_eig
 # ---------------------------------------------------------------------------

@@ -72,10 +72,17 @@ def test_plan_json_round_trip():
     ((4, 1, (2,), (None,)), "finite and positive"),
     ((True, True, (True,), (1.0,)), "source_dim must be an integer, got True"),
     ((4, 1, (True,), (1.0,)), "plan index must be an integer, got True"),
+    # the first bad pick is named, whichever rule it breaks
+    ((4, 3, (2, 7, 1.5), (1.0,) * 3), "plan index must be at least 1 and at most 4, got 7"),
+    ((4, 3, (2, 1.5, 7), (1.0,) * 3), "plan index must be an integer, got 1.5"),
+    ((4, 3, (2, 0, True), (1.0,) * 3), "plan index must be at least 1 and at most 4, got 0"),
+    ((4, 3, (2, 3, 4), (1.0, math.nan, 1.0)), "finite and positive"),
+    ((4, 3, (2, 3, 4), (1.0, 2.0, 0.0)), "finite and positive"),
 ], ids=["float-index", "str-index", "numpy-float-index", "float-source-dim",
         "float-target-dim", "inf-weight", "numpy-inf-weight", "overflowed-weight",
         "zero-dims", "str-weight", "bool-weight", "numpy-bool-weight", "none-weight",
-        "bool-dims", "bool-index"])
+        "bool-dims", "bool-index", "range-before-type", "type-before-range",
+        "zero-before-bool", "nan-weight", "zero-weight"])
 def test_plan_refuses_non_integer_positions_and_infinite_weights(args, match):
     with pytest.raises(ArgumentError, match=match):
         SamplingPlan(*args)
@@ -106,6 +113,24 @@ def test_plan_takes_numpy_integers_and_floats():
     np.testing.assert_array_equal(
         apply_plan(np.arange(8.0).reshape(2, 4), plan), [[1.5, 0.0], [3.5, 8.0]]
     )
+
+
+def test_plan_checks_its_picks_without_a_call_per_pick(monkeypatch):
+    rng = np.random.default_rng(0)
+    idx, w = rng.integers(0, 300, 120), rng.random(120) + 0.5
+    calls, check = [], sparsify._valid_int
+
+    def counted(*args):
+        calls.append(args[1])
+        return check(*args)
+
+    monkeypatch.setattr(sparsify, "_valid_int", counted)
+    plan = sparsify._plan(300, idx, w)
+    assert len(calls) <= 3
+    assert plan.indices == tuple(int(i) + 1 for i in idx)
+    assert plan.weights == tuple(float(x) for x in w)
+    assert all(type(i) is int for i in plan.indices)
+    assert all(type(x) is float for x in plan.weights)
 
 
 @pytest.mark.parametrize("n, match", [
