@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, NumericalSearchError, ResourceLimitError
-from .linalg import _as_2d, _at_scale, _rescaled, _scaled_rows, _valid_int
+from .linalg import _as_2d, _at_scale, _rescaled, _scaled_rows, _valid_int, _valid_ints
 
 _MAX_ITER = 300
 # Lloyd stops once a step lowers the cost by less than this, at the data's scale
@@ -93,7 +93,7 @@ class Clustering:
         k = _valid_int(self.num_clusters, "num_clusters", 1, m)
         if len(self.assignment) != m:
             raise ArgumentError("assignment must have one label per point")
-        labels = tuple(_valid_int(x, "label") for x in self.assignment)
+        labels = _valid_ints(self.assignment, "label")
         for name, value in (("num_points", m), ("num_clusters", k), ("assignment", labels)):
             object.__setattr__(self, name, value)  # frozen: set once, here
         if min(labels) < 1 or max(labels) > k:

@@ -38,8 +38,9 @@ from .kmeans import (
 )
 from .linalg import (
     _as_2d,
+    _exponent_of,
     _minus_product,
-    _scale_exponent,
+    _thin,
     _valid_int,
     _window,
     approx_svd_z,
@@ -108,24 +109,33 @@ def _selection(a: np.ndarray, plan: SamplingPlan, method: str, k: int, r: int,
                             k=k, r=r, seed=seed, stage1_size=stage1_size, basis=basis)
 
 
-def _residual_sq_norms(a: np.ndarray, v: np.ndarray, given: Clustering) -> np.ndarray:
+def _residual_sq_norms(a: np.ndarray, v: np.ndarray, given: Clustering,
+                       sigma1: float) -> np.ndarray:
     # the column sums of squares of [a - a v v.T ; a - x x.T a], x the
-    # indicator of *given*, at the scaling rule's exponent of its entries:
-    # the second set of supervised selection, formed _CHARGE_ROWS rows at a
-    # time in one buffer, so no m x n array is held.  A first pass reads
-    # the entries' extremes, which is also their finiteness check; a second
-    # adds the squares
-    x = indicator(given)
-    halves = ((a @ v, v.T), (x, x.T @ a))
+    # indicator of *given*, times 4**-e for e the scaling rule's exponent
+    # of sigma1 = ||a||_2, svd_top_k's s[0]: the second set of supervised
+    # selection, each block of _CHARGE_ROWS rows formed once, in one
+    # buffer, so no m x n array is held.  Each row of a - a v v.T is a row
+    # of a projected, and each column of a - x x.T a a column of a
+    # projected, so no entry exceeds sigma1 and no column sum 2 sigma1**2:
+    # e, fixed before any block is formed, keeps every sum finite, and
+    # powers of two scale exactly, so the charges are those of the
+    # residual's own exponent wherever no square is subnormal.  A
+    # non-finite entry reaches the sums, where the sampler's check raises.
+    # Each half's m x k factor is made when its blocks start and freed
+    # when they end
     buf = np.empty((_CHARGE_ROWS, a.shape[1]))
 
-    def blocks():
-        for left, right in halves:
-            for rows, lefts in zip(_row_blocks(a), _row_blocks(left)):
-                yield _minus_product(rows, lefts, right, buf[:rows.shape[0]])
+    def minus(left, right):
+        for rows, lefts in zip(_row_blocks(a), _row_blocks(left)):
+            yield _minus_product(rows, lefts, right, buf[:rows.shape[0]])
 
-    e = _scale_exponent(np.array([(block.max(), block.min()) for block in blocks()]))
-    return _column_sq_norms(blocks(), a.shape[1], e)
+    def blocks():
+        yield from minus(_thin(a, v), v.T)
+        x = indicator(given)
+        yield from minus(x, x.T @ a)
+
+    return _column_sq_norms(blocks(), a.shape[1], _exponent_of(sigma1))
 
 
 def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
@@ -150,7 +160,7 @@ def supervised_select(a, given: Clustering, k: int, r: int) -> FeatureSelection:
             f"clustering has {given.num_clusters} clusters, expected k={k}"
         )
     top = svd_top_k(a, k)
-    norms = np.sqrt(_residual_sq_norms(a, top.v, given))[None, :]
+    norms = np.sqrt(_residual_sq_norms(a, top.v, given, float(top.s[0])))[None, :]
     plan = deterministic_sampling_one(top.v.T, norms, r)
     return _selection(a, plan, method="supervised", k=k, r=r, basis=top.v)
 

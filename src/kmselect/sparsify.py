@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ContractViolationError, NumericalSearchError
-from .linalg import _as_2d, _scale_exponent, _valid_int, _window, as_matrix
+from .linalg import _as_2d, _scale_exponent, _valid_int, _valid_ints, _window, as_matrix
 
 ORTHO_TOL = 1e-8
 # rows of b squared at a time for the sampler-one charges
@@ -76,13 +76,7 @@ class SamplingPlan:
         _valid_int(self.target_dim, "target_dim", 1)
         if len(self.indices) != self.target_dim or len(self.weights) != self.target_dim:
             raise ArgumentError("indices and weights must both have target_dim entries")
-        # one pass over the picks' types and their extremes; only a plan that
-        # fails it is checked pick by pick, for the first bad pick's message
-        if not (all(t is not bool and issubclass(t, (int, np.integer))
-                    for t in set(map(type, self.indices)))
-                and 1 <= min(self.indices) and max(self.indices) <= self.source_dim):
-            for i in self.indices:
-                _valid_int(i, "plan index", 1, self.source_dim)
+        _valid_ints(self.indices, "plan index", 1, self.source_dim)
         # bool subclasses int, so it is refused by name; NaN fails the range
         if not (all(t is not bool and issubclass(t, (int, float, np.integer, np.floating))
                     for t in set(map(type, self.weights)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmselect import kmeans, verify
+from kmselect import kmeans, linalg, verify
 from kmselect.errors import (
     ArgumentError,
     ContractViolationError,
@@ -28,6 +28,7 @@ from kmselect.kmeans import (
     _sq_dists,
     _weighted_draw,
     brute_force_optimal,
+    from_labels,
     indicator,
     kmeanspp_init,
     lloyd,
@@ -63,6 +64,39 @@ def test_clustering_rejects_out_of_range_label():
 def test_clustering_rejects_wrong_length():
     with pytest.raises(ArgumentError):
         Clustering(3, 2, (1, 2))
+
+
+def test_clustering_checks_its_labels_without_a_call_per_label(monkeypatch):
+    # one pass over the labels' types plus min and max; numpy labels are
+    # kept as Python ints
+    labels = np.random.default_rng(0).integers(1, 11, 2000)
+    labels[:10] = np.arange(1, 11)
+    calls = []
+    for module in (kmeans, linalg):
+        check = module._valid_int
+
+        def counted(*args, check=check):
+            calls.append(args[1])
+            return check(*args)
+
+        monkeypatch.setattr(module, "_valid_int", counted)
+    for given in (labels, labels.tolist()):
+        calls.clear()
+        c = from_labels(given, 10)
+        assert len(calls) <= 3
+        assert c.assignment == tuple(labels.tolist())
+        assert all(type(x) is int for x in c.assignment)
+
+
+@pytest.mark.parametrize("labels, match", [
+    ((1, 2, 2.0), "label must be an integer, got 2.0"),
+    ((1, True, 2), "label must be an integer, got True"),
+    ((1, "2", 2.5), "label must be an integer, got '2'"),
+    ((1, np.int64(2), None), "label must be an integer, got None"),
+], ids=["float", "bool", "first-of-two", "none-after-numpy"])
+def test_clustering_names_the_first_bad_label(labels, match):
+    with pytest.raises(ArgumentError, match=match):
+        from_labels(labels, 2)
 
 
 def test_indicator_direct_construction():

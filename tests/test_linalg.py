@@ -48,6 +48,138 @@ def test_as_matrix_rejects_inf():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass extremes read and the thin product
+# ---------------------------------------------------------------------------
+
+LAYOUTS = ("C", "F", "transposed", "strided", "mmap")
+# one block, one block plus one float (2**17 + 1 = 3 * 43691) in three
+# shapes, one of them a row longer than a block, and several blocks
+READ_SHAPES = ((256, 512), (3, 43691), (43691, 3), (1, 2**17 + 1), (600, 700))
+
+
+def _in_layout(c, layout, tmp_path):
+    # the values of the C-ordered c, stored in *layout*
+    if layout == "C":
+        return c
+    if layout == "F":
+        return np.asfortranarray(c)
+    if layout == "transposed":
+        return np.ascontiguousarray(c.T).T
+    if layout == "strided":
+        wide = np.zeros((2 * c.shape[0], 3 * c.shape[1]))
+        wide[::2, ::3] = c
+        return wide[::2, ::3]
+    path = tmp_path / "a.npy"
+    np.save(path, c)
+    return np.load(path, mmap_mode="r")
+
+
+def _storage_positions(shape, layout):
+    # the first, a middle and the last entry in storage order
+    order = "C" if layout in ("C", "strided", "mmap") else "F"
+    size = shape[0] * shape[1]
+    return [np.unravel_index(i, shape, order=order) for i in (0, size // 2, size - 1)]
+
+
+def _whole_array_exponent(a):
+    # the scaling rule on a.max() and a.min() of the whole array
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ContractViolationError("matrix entries must be finite")
+    e = math.frexp(max(hi, -lo))[1]
+    return 0 if 0 <= e <= linalg._SAFE_EXP else e
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_scale_exponent_is_that_of_the_whole_array_extremes(rng, tmp_path, layout):
+    # the exponent of a.max() and a.min(), and their error, in every layout:
+    # the largest magnitude sits in the first, a middle or the last block
+    for shape in READ_SHAPES:
+        for where in _storage_positions(shape, layout):
+            for top in (1e250, -1e-250, 3.0, np.nan, np.inf, -np.inf):
+                c = rng.standard_normal(shape) * (1e-260 if abs(top) < 1.0 else 1.0)
+                c[where] = top
+                a = _in_layout(c, layout, tmp_path)
+                if math.isfinite(top):
+                    assert linalg._scale_exponent(a) == _whole_array_exponent(a)
+                else:
+                    with pytest.raises(ContractViolationError, match="must be finite"):
+                        linalg._scale_exponent(a)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_scale_exponent_reads_no_block_copy(rng, tmp_path, layout):
+    # numpy's own reduction buffer, 64 KiB for a strided view, is the
+    # most the read allocates: a block would take 1 MiB
+    a = _in_layout(rng.standard_normal((600, 700)), layout, tmp_path)
+    tracemalloc.start()
+    try:
+        linalg._scale_exponent(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < linalg._READ_FLOATS
+
+
+class _CountedReductions(np.ndarray):
+    # an array that records the size of every reduction numpy takes of it,
+    # and whether the reduced block lies contiguous in memory
+    sizes = []
+    contiguous = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "reduce":
+            _CountedReductions.sizes.append(inputs[0].size)
+            flags = inputs[0].flags
+            _CountedReductions.contiguous.append(flags.c_contiguous or flags.f_contiguous)
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_scale_exponent_stops_at_the_first_block_that_is_not_finite(rng, monkeypatch):
+    # a NaN in the first block: max and min of that block are the whole read
+    c = rng.standard_normal((600, 700))
+    c[0, 0] = np.nan
+    monkeypatch.setattr(_CountedReductions, "sizes", [])
+    monkeypatch.setattr(_CountedReductions, "contiguous", [])
+    with pytest.raises(ContractViolationError, match="must be finite"):
+        linalg._scale_exponent(c.view(_CountedReductions))
+    assert _CountedReductions.sizes
+    assert sum(_CountedReductions.sizes) <= 2 * linalg._READ_FLOATS
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+def test_scale_exponent_reads_blocks_in_storage_order(rng, tmp_path, monkeypatch, layout):
+    # every block is contiguous in memory, so the read never strides
+    # across rows of a Fortran-ordered array
+    for shape in ((600, 700), (1, 2**17 + 1)):
+        a = _in_layout(rng.standard_normal(shape), layout, tmp_path)
+        monkeypatch.setattr(_CountedReductions, "sizes", [])
+        monkeypatch.setattr(_CountedReductions, "contiguous", [])
+        linalg._scale_exponent(a.view(_CountedReductions))
+        assert sum(_CountedReductions.sizes) == 2 * a.size
+        assert len(_CountedReductions.sizes) > 2
+        assert all(_CountedReductions.contiguous)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+def test_thin_is_the_product_in_c_order_without_a_copy_of_a(rng, tmp_path, layout):
+    for m, n, ell in ((600, 700, 7), (2000, 300, 31), (37, 1500, 3)):
+        a = _in_layout(rng.standard_normal((m, n)), layout, tmp_path)
+        x = rng.standard_normal((n, ell))
+        tracemalloc.start()
+        try:
+            got = linalg._thin(a, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.flags.c_contiguous
+        assert peak < 0.25 * a.nbytes
+        ulp = np.finfo(float).eps * (np.abs(a) @ np.abs(x))
+        assert np.all(np.abs(got - a @ x) <= 4 * ulp)
+
+
+# ---------------------------------------------------------------------------
 # svd_top_k
 # ---------------------------------------------------------------------------
 
@@ -595,5 +727,5 @@ def test_approx_svd_z_is_svd_top_k_of_the_range_projection(rng):
         m, n = shape
         b = np.ldexp(a, -math.frexp(np.abs(a).max())[1]) if scale != 1.0 else a
         omega = np.random.default_rng(7).standard_normal((n, min(3 * k + 1, m, n)))
-        q, _ = np.linalg.qr(b @ omega)
+        q, _ = np.linalg.qr(linalg._thin(b, omega))
         np.testing.assert_array_equal(approx_svd_z(a, k, seed=7), svd_top_k(q.T @ b, k).v)

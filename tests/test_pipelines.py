@@ -43,10 +43,11 @@ def test_streamed_residual_norms_are_those_of_the_stacked_residuals(rng):
     # m = 200 rows: four blocks per half, the last one partial
     a = rng.standard_normal((200, 25))
     given = lloyd_best(a, 3, restarts=2, seed=0)
-    v = svd_top_k(a, 3).v
+    top = svd_top_k(a, 3)
+    v = top.v
     x = indicator(given)
     stacked = np.vstack([residual(a, v), a - x @ (x.T @ a)])
-    np.testing.assert_allclose(pipelines._residual_sq_norms(a, v, given),
+    np.testing.assert_allclose(pipelines._residual_sq_norms(a, v, given, top.s[0]),
                                np.square(stacked).sum(axis=0), rtol=1e-14, atol=0.0)
 
 
@@ -64,10 +65,28 @@ def test_supervised_charges_hold_no_m_by_n_array(rng):
     m, n, k = 4000, 200, 5
     a = rng.standard_normal((m, n))
     given = lloyd_best(a, k, restarts=1, seed=0)
-    v = svd_top_k(a, k).v
-    peak = _peak(lambda: pipelines._residual_sq_norms(a, v, given))
+    top = svd_top_k(a, k)
+    v = top.v
+    peak = _peak(lambda: pipelines._residual_sq_norms(a, v, given, top.s[0]))
     assert peak <= 8 * (2 * m * k + k * n + 2 * (sparsify._CHARGE_ROWS + 1) * n) + 65536
     assert peak < 0.1 * a.nbytes
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_supervised_charges_form_each_block_once(rng, monkeypatch, scale):
+    # m = 200 rows: four blocks per half, the last one partial, each formed
+    # once, with no pass that only reads the blocks' extremes
+    a = rng.standard_normal((200, 25)) * scale
+    given = lloyd_best(a, 3, restarts=1, seed=0)
+    calls, minus = [], pipelines._minus_product
+
+    def counted(rows, *args):
+        calls.append(rows.shape[0])
+        return minus(rows, *args)
+
+    monkeypatch.setattr(pipelines, "_minus_product", counted)
+    supervised_select(a, given, 3, 8)
+    assert calls == [64, 64, 64, 8] * 2
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
